@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import kahan_sum, to_exact, vec_exact
+from ._numeric import kahan_sum, vec_exact
 from ._poly import Polynomial
 from .errors import DegenerateSimplex, DegreeCapExceeded, InconsistentInputs, PrecisionLoss
 from .polytope import Polytope, triangulate
@@ -31,18 +31,6 @@ from .polytope import Polytope, triangulate
 DEGREE_CAP = 24
 REL_TARGET = 1e-12
 _CANCEL_LIMIT = 1e-14
-
-
-@dataclass(frozen=True)
-class PolyExpTerm:
-    """poly(y) * exp(<linear, y> + const), the integrand model."""
-    poly: Polynomial
-    linear: Tuple[float, ...]
-    const: float = 0.0
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.poly.eval_array(pts) * np.exp(pts @ np.asarray(self.linear) + self.const)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import dot, to_exact, vec_exact
-from ._poly import Polynomial
-from .errors import NotDominant, NotDominantPiece, TwoRhoOutsideDomain
-from .expint import RegionMoments, get_engine
+from ._numeric import to_exact, vec_exact
+from .errors import NotDominant, NotDominantPiece, PrecisionLoss, TwoRhoOutsideDomain
+from .expint import get_engine
 from .polytope import Polytope, try_build
 from .rootsys import RootSystem, dh_density
 
@@ -52,13 +51,23 @@ def normalization_volume(rs: RootSystem, p_plus: Polytope) -> float:
     return get_engine(p_plus, dh_density(rs)).z([0.0] * p_plus.dim)
 
 
+def _tilted_volume(eng, lam: Tuple[float, ...]) -> float:
+    """z(lam) = int e^{<lam, y>} pi dy; PrecisionLoss when it is not a finite
+    positive double (it overflows at large slopes)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = eng.z(lam)
+    if not (np.isfinite(z) and z > 0):
+        raise PrecisionLoss(f"z = {z} at lambda = {lam} is not a finite positive number")
+    return z
+
+
 def h_vector(rs: RootSystem, p_plus: Polytope, lam: Sequence[float]) -> HBreakdown:
     """h at the linear test configuration with dominant slope lam."""
     _check_dominant(rs, lam)
     pi = dh_density(rs)
     eng = get_engine(p_plus, pi)
     lamf = tuple(float(x) for x in lam)
-    z = eng.z(lamf)
+    z = _tilted_volume(eng, lamf)
     V = eng.z((0.0,) * p_plus.dim)
     l_na = -sum(float(t) * x for t, x in zip(rs.two_rho, lamf))
     s_na = math.log(V) - math.log(z)
@@ -77,10 +86,6 @@ def barycenter_grad_hess(rs: RootSystem, p_plus: Polytope, lam: Sequence[float])
     grad = b - np.asarray([float(t) for t in rs.two_rho])
     hess = m.covariance()
     return b, grad, hess
-
-
-def moments_at(rs: RootSystem, p_plus: Polytope, lam: Sequence[float]) -> RegionMoments:
-    return get_engine(p_plus, dh_density(rs)).moments([float(x) for x in lam], orders=2)
 
 
 def h_plfunction(rs: RootSystem, p_plus: Polytope, f) -> HBreakdown:
@@ -124,7 +129,7 @@ def h_plfunction(rs: RootSystem, p_plus: Polytope, f) -> HBreakdown:
         if status != "ok":
             inactive.append(a)
             continue
-        z_cell = get_engine(cell, pi).z(tuple(float(x) for x in lam_a))
+        z_cell = _tilted_volume(get_engine(cell, pi), tuple(float(x) for x in lam_a))
         total += math.exp(-(float(to_exact(c_a)) - c_min)) * z_cell
     s_na = math.log(V) - (math.log(total) - c_min)
     return HBreakdown(h=l_na - s_na, l_na=l_na, s_na=s_na, normalization=V,

@@ -18,17 +18,22 @@ chamber.
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import dot, nullspace, solve_exact, to_exact, vec_exact
+from ._numeric import dot, nullspace, solve_exact, vec_exact
 from .errors import DependentActiveRoots, DivergentMinimizer, NoFaceAccepted
 from .expint import get_engine
 from .polytope import Polytope, _basic_feasible_points
 from .rootsys import RootSystem, dh_density
+
+_EPS = float(np.finfo(float).eps)
+# A Newton step is flat when its predicted decrease -g.step is at most this
+# many ulps of h.
+_FLAT_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -202,12 +207,17 @@ def _face_newton(engine, two_rho: np.ndarray, N: np.ndarray, opts: MinimizeOptio
         if slope > 0:
             step = -g
             slope = float(g @ step)
+        # A flat step's predicted decrease is below the rounding level of
+        # val, so Armijo would compare noise and halve the step to a no-op:
+        # try the full step once and keep it if it reduces the gradient.
+        flat = -slope <= _FLAT_ULPS * _EPS * max(1.0, abs(val))
         t = 1.0
         accepted = False
-        for _ in range(50):
+        for _ in range(1 if flat else 50):
             cand = xi + t * step
             st = phi_grad_hess(cand)
-            if st is not None and st[0] <= val + 1e-4 * t * slope:
+            if st is not None and (np.linalg.norm(st[1]) < np.linalg.norm(g) if flat
+                                   else st[0] <= val + 1e-4 * t * slope):
                 xi, val, g, H, b = cand, st[0], st[1], st[2], st[3]
                 accepted = True
                 break

@@ -194,12 +194,17 @@ def _unit_box(dim, hs):
 
 
 def _find_redundant(hs, verts, dim) -> List[int]:
-    """A halfspace is a facet iff its tight vertex set has affine rank dim-1."""
+    """A halfspace is a facet iff its tight vertex set has affine rank dim-1
+    and no earlier facet is the same halfspace up to positive scaling."""
     out = []
+    seen = set()
     for idx, (n, b) in enumerate(hs):
         tight = [v for v in verts if dot(n, v) == b]
-        if not tight or _affine_rank(tight) != dim - 1:
+        key = _normalize_halfspace(n, b)
+        if not tight or _affine_rank(tight) != dim - 1 or key in seen:
             out.append(idx)
+        else:
+            seen.add(key)
     return out
 
 

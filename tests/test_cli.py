@@ -1,6 +1,7 @@
 """CLI: subcommand wiring, canonical JSON, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -76,6 +77,20 @@ def test_h_eval_nondominant_exit_code():
     assert json.loads(out)["error"]["type"] in ("NotDominant",
                                                 "NotDominantPiece")
 
+
+
+@pytest.mark.parametrize("f", ["linear:300,-300", "pl:0,300,-300;1,400,-400"])
+def test_h_eval_overflow_is_typed_error(f):
+    # z overflows double precision at these slopes; both used to print "nan"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["h-eval", "--preset", "so4-case1", "--f", f])
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "PrecisionLoss"
+    assert doc["error"]["exit_code"] == 5
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 def test_h_eval_pl_matches_linear():
     _, out1, _ = run_cli(["h-eval", "--preset", "so4-case1",

@@ -143,6 +143,34 @@ def test_pl_two_active_pieces(rs_so4, case1_poly):
     assert hb.h == pytest.approx(l_na - s_na, rel=1e-9)
 
 
+
+def test_pl_cell_wall_on_facet(rs_so4, case1_poly):
+    # pieces 1 and 2 tie on y1 = 3, so piece 1's cell gets the cut
+    # (1/4) y1 <= 3/4: the facet y1 <= 3 again. Counting that facet twice
+    # put s_na at -2.798, below min f = -2.75.
+    pieces = [(Fraction(-1, 2), (Fraction(1, 2), Fraction(0))),
+              (Fraction(1, 4), (Fraction(1), Fraction(-1, 4))),
+              (Fraction(1), (Fraction(5, 4), Fraction(-1, 4)))]
+    hb = h_plfunction(rs_so4, case1_poly, pl_concave(rs_so4, case1_poly, pieces))
+    assert hb.inactive_pieces == (2,)
+
+    def affine(c, lam, y):
+        return c - lam[0] * y[0] - lam[1] * y[1]
+
+    verts = case1_poly.vertices
+    lower = min(min(affine(c, lam, v) for c, lam in pieces) for v in verts)
+    upper = min(max(affine(c, lam, v) for v in verts) for c, lam in pieces)
+    assert lower == Fraction(-11, 4)
+    assert float(lower) <= hb.s_na <= float(upper)
+    from scipy import integrate as si
+
+    def emf(y, x):      # dblquad passes the inner variable first
+        f = min(float(affine(c, lam, (x, y))) for c, lam in pieces)
+        return math.exp(-f) * ((x - y) * (x + y)) ** 2
+
+    ref = si.dblquad(emf, 0, 3, lambda x: -min(x, 3 - x), lambda x: x)[0]
+    assert hb.s_na == pytest.approx(-math.log(ref / 85.05), rel=1e-7)
+
 def test_pl_nondominant_piece_rejected(rs_so4, case1_poly):
     with pytest.raises(NotDominantPiece):
         pl_concave(rs_so4, case1_poly, [(0, (0, 1))])  # <alpha1, (0,1)> < 0

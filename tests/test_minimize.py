@@ -1,13 +1,16 @@
 """Constrained minimization: frozen references, KKT data, coercivity."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gcdeg import (DependentActiveRoots, DivergentMinimizer, MinimizeOptions,
-                   build_polytope, coercivity_check, h_vector, ke_test,
-                   kkt_multipliers, minimize_h)
+                   RootSystemSpec, build_polytope, build_root_system,
+                   coercivity_check, h_vector, ke_test, kkt_multipliers,
+                   minimize_h)
 
 from conftest import (B0_CASE1, H_MIN_CASE1, MULT_CASE1, MULT_CASE2,
                       S_STAR_CASE1, S_STAR_CASE2)
@@ -139,3 +142,53 @@ def test_face_visits_reported(rs_so4, case1_poly):
     rep = minimize_h(rs_so4, case1_poly)
     assert len(rep.face_visits) == 4          # 2^rank candidate faces
     assert rep.accepted_face in [v.face for v in rep.face_visits]
+
+
+def _a1_factor(a):
+    """(s*, h(s*), multiplier) of the 1-D A1 problem on [0, a] at 30 digits.
+
+    pi = y^2 up to a constant, alpha = 2, 2rho = 2 and E_0[y] = 3a/4. Below 2
+    the minimizer is the root of E_s[y] = 2 with no multiplier; otherwise it
+    is s* = 0 on the wall with multiplier (3a/4 - 2) / 2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a.numerator) / a.denominator
+
+        def mom(s, k):
+            return mpmath.quad(lambda y: y ** k * mpmath.exp(s * (y - 2)), [0, a])
+
+        if 3 * a / 4 >= 2:
+            return 0.0, 0.0, float((3 * a / 4 - 2) / 2)
+        s = mpmath.findroot(lambda s: mom(s, 3) / mom(s, 2) - 2, (0, 10),
+                            solver="anderson")
+        return float(s), float(mpmath.log(mom(s, 2) / mom(0, 2))), None
+
+
+# Boxes [0, h_1] x [0, h_2] x [0, h_3] cut to the chamber. At (9/4, 5/2, 4)
+# face (0, 2) used to stall at |g| ~ 4e-8: the Newton step's predicted
+# decrease was about 3 ulps of h, so Armijo halved it to a no-op on every
+# iteration up to max_iter. At (5/2, 3, 7/2) the minimizer's own face (1, 2)
+# stalled the same way and minimize_h raised NoFaceAccepted.
+A1_CUBES = [("9/4", "5/2", "4"), ("5/2", "3", "7/2")]
+
+
+def _a1_cube(box):
+    rs = build_root_system(RootSystemSpec(catalog="A1xA1xA1"))
+    verts = [list(v) for v in itertools.product(*[[0, h] for h in box])]
+    return rs, build_polytope(vertices=verts, rs=rs, append_chamber=True)
+
+
+@pytest.mark.parametrize("box", A1_CUBES)
+def test_a1_cube_matches_factors(box):
+    rs, p = _a1_cube(box)
+    rep = minimize_h(rs, p)
+    assert len(rep.face_visits) == 8
+    for v in rep.face_visits:
+        assert v.converged and v.iterations <= 10, v
+    factors = [_a1_factor(Fraction(h)) for h in box]
+    assert rep.active_set == tuple(i for i, f in enumerate(factors) if f[2] is not None)
+    assert rep.lambda0 == pytest.approx([f[0] for f in factors], abs=1e-9)
+    assert rep.h_min == pytest.approx(sum(f[1] for f in factors), abs=1e-9)
+    assert rep.multipliers == pytest.approx(
+        [f[2] for f in factors if f[2] is not None], abs=1e-9)

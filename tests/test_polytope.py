@@ -38,6 +38,17 @@ def test_redundant_inequalities_flagged():
     assert set(p.vertices) == set(q.vertices)
 
 
+
+def test_coincident_halfspaces_one_facet():
+    # x <= 3 and (1/4) x <= 3/4 are one facet of the 3x3 square; keeping both
+    # made triangulate fan over it twice (volume 27/2)
+    hs = [([1, 0], 3), (["1/4", 0], "3/4"), ([-1, 0], 0), ([0, 1], 3),
+          ([0, -1], 0)]
+    p = build_polytope(halfspaces=hs)
+    assert p.redundant == (1,)
+    assert len(p.facets()) == 4
+    assert p.volume() == 9
+
 def test_empty_unbounded_lowdim():
     with pytest.raises(Empty):
         build_polytope(halfspaces=[([1], 0), ([-1], -1)])
