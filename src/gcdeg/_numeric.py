@@ -42,18 +42,6 @@ def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vsub(u: Sequence[Number], v: Sequence[Number]) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vadd(u: Sequence[Number], v: Sequence[Number]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Number, v: Sequence[Number]) -> tuple:
-    return tuple(c * a for a in v)
-
-
 def fmt15(x: float) -> str:
     """Decimal string with 15 significant digits, stable across platforms."""
     return format(float(x), ".15g")

@@ -7,7 +7,6 @@ affine precomposition, and evaluation (exact or via numpy on arrays).
 """
 
 from fractions import Fraction
-from math import comb
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -100,9 +99,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def eval_exact(self, point: Sequence) -> Fraction:
         pt = [to_exact(x) for x in point]
         total = Fraction(0)
@@ -111,16 +107,6 @@ class Polynomial:
             for x, e in zip(pt, mono):
                 if e:
                     v *= x ** e
-            total += v
-        return total
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = float(c)
-            for x, e in zip(point, mono):
-                if e:
-                    v *= float(x) ** e
             total += v
         return total
 
@@ -161,21 +147,6 @@ class Polynomial:
                     term = term * s.pow(e)
             out = out + term
         return out
-
-    def shift_binomial(self, i: int, c) -> "Polynomial":
-        """Substitute x_i -> x_i + c (single-variable shift, exact)."""
-        c = to_exact(c)
-        if c == 0:
-            return self
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            for k in range(e + 1):
-                m = list(mono)
-                m[i] = k
-                key = tuple(m)
-                out[key] = out.get(key, Fraction(0)) + coeff * comb(e, k) * c ** (e - k)
-        return Polynomial(self.dim, out)
 
     # -- identity / display --
 

@@ -11,7 +11,7 @@ Subcommands:
 Output is JSON by default. Every numeric leaf is rendered as an object with
 a fixed 15-significant-digit decimal string (plus an exact "fraction" field
 when the value is rational), so output bytes are reproducible and never
-depend on float repr or thread count.
+depend on float repr.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .degeneration import (central_fibre_report, consistency_with_ke,
                            stability_verdict)
 from .errors import GcdegError, InconsistentInputs, SchemaError
 from .expint import get_engine, integrate_region
-from .hfun import h_plfunction, h_vector, normalization_volume
+from .hfun import h_plfunction, h_vector
 from .minimize import MinimizeOptions, ke_test, minimize_h
 from .oracle import McConfig, mc_integrate
 from .polytope import Polytope, build_polytope
@@ -188,8 +188,6 @@ def build_from_doc(doc: Dict, args=None) -> Tuple[RootSystem, Polytope, Minimize
             kw[field] = float(opt_doc[field])
     if "max_iter" in opt_doc:
         kw["max_iter"] = int(opt_doc["max_iter"])
-    if "threads" in opt_doc:
-        kw["threads"] = int(opt_doc["threads"])
     if args is not None:
         if getattr(args, "tol_wall", None) is not None:
             kw["tol_wall"] = float(args.tol_wall)
@@ -265,7 +263,6 @@ def _minimization_block(rep) -> Dict:
         "accepted_face": list(rep.accepted_face),
         "faces_visited": len(rep.face_visits),
         "coercive": rep.coercivity.coercive,
-        "notes": list(rep.notes),
     }
 
 

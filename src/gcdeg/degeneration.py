@@ -9,13 +9,12 @@ Levi), the block structure of the limit algebra h0, and the rank of the
 maximal torus acting on the limit.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._numeric import solve_exact, to_exact, vec_exact
+from ._numeric import solve_exact, to_exact
 from .minimize import KeReport, MinimizerReport
 from .rootsys import RootSystem
 
@@ -120,14 +119,13 @@ def stability_verdict(rs: RootSystem, rep: MinimizerReport,
     """
     tol_kkt = rep.options.tol_kkt
     tol_wall = rep.options.tol_wall
-    notes = list(rep.notes)
 
     if not rep.converged:
         return StabilityVerdict(kind="Indeterminate", flow_statement=None,
-                                notes=tuple(notes + ["minimizer did not converge"]))
+                                notes=("minimizer did not converge",))
     if any(m < -tol_kkt for m in rep.multipliers):
         return StabilityVerdict(kind="Indeterminate", flow_statement=None,
-                                notes=tuple(notes + ["negative KKT multiplier"]))
+                                notes=("negative KKT multiplier",))
 
     lam0 = np.asarray(rep.lambda0)
     scale = 1.0 + float(np.linalg.norm(lam0))
@@ -138,21 +136,20 @@ def stability_verdict(rs: RootSystem, rep: MinimizerReport,
         for alpha in rs.simple_roots)
 
     if zero_mult:
-        notes.append(f"multiplier at zero on wall(s) {tuple(zero_mult)}: boundary of the stable region")
-        return StabilityVerdict(kind="ModifiedKSemistableOnly", flow_statement=None,
-                                notes=tuple(notes))
+        return StabilityVerdict(
+            kind="ModifiedKSemistableOnly", flow_statement=None,
+            notes=(f"multiplier at zero on wall(s) {tuple(zero_mult)}: boundary of the stable region",))
     if lam_zero:
-        return StabilityVerdict(kind="KählerEinstein", flow_statement=None, notes=tuple(notes))
+        return StabilityVerdict(kind="KählerEinstein", flow_statement=None)
     if central:
         return StabilityVerdict(
             kind="KRSolitonProduct",
             flow_statement=("the optimal vector field is central; the flow limit is the "
-                            "variety itself with a product-type soliton structure"),
-            notes=tuple(notes))
+                            "variety itself with a product-type soliton structure"))
     stmt = (f"the optimal degeneration is the test configuration of slope lambda0 = "
             f"{tuple(round(x, 12) for x in rep.lambda0)}; its central fibre has the "
             f"reported Levi and valuation-cone structure and h attains {rep.h_min:.12g}")
-    return StabilityVerdict(kind="ModifiedKStable", flow_statement=stmt, notes=tuple(notes))
+    return StabilityVerdict(kind="ModifiedKStable", flow_statement=stmt)
 
 
 def consistency_with_ke(ke: KeReport, verdict: StabilityVerdict,

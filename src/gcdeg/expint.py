@@ -12,7 +12,7 @@ clustered, tiny, or large nodes alike; no series/closed-form branch switch is
 needed. Arbitrary simplices reduce to the standard one by an affine map.
 
 Sums over simplices and monomials run in a fixed order with compensated
-accumulation, so results are bit-reproducible regardless of thread count.
+accumulation, so results are bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -93,14 +93,6 @@ def _opitz_matrix(nodes: Sequence[float]) -> np.ndarray:
     return J
 
 
-def _dd_exp(nodes: Sequence[float]) -> float:
-    """Divided difference exp[nodes] via the Opitz bidiagonal matrix."""
-    m = len(nodes)
-    if m == 1:
-        return float(np.exp(nodes[0]))
-    return float(_expm_stack(_opitz_matrix(nodes)[None, :, :])[0, 0, m - 1])
-
-
 def _dd_exp_many(node_lists: List[Tuple[float, ...]]) -> List[float]:
     """Divided differences for many node multisets, batched by length."""
     out = [0.0] * len(node_lists)
@@ -117,16 +109,6 @@ def _dd_exp_many(node_lists: List[Tuple[float, ...]]) -> List[float]:
         for j, i in enumerate(idxs):
             out[i] = float(vals[j])
     return out
-
-
-def _std_simplex_integral(beta: Tuple[int, ...], c: Sequence[float]) -> float:
-    nodes = [0.0]
-    for ci, bi in zip(c, beta):
-        nodes.extend([float(ci)] * (bi + 1))
-    val = _dd_exp(nodes)
-    for bi in beta:
-        val *= factorial(bi)
-    return val
 
 
 def _simplex_chart(simplex) -> Tuple[tuple, list, Fraction]:
@@ -150,35 +132,10 @@ def _pullback_monomials(p: Polynomial, v0, B) -> Dict[Tuple[int, ...], float]:
     return {mono: float(c) for mono, c in sorted(q.terms.items())}
 
 
-def integrate_simplex(p: Polynomial, lam: Sequence[float], simplex) -> float:
-    """int_simplex p(y) exp(<lam, y>) dy, closed form, float64.
-
-    The polynomial degree is capped at DEGREE_CAP; degenerate simplices raise.
-    """
-    if p.degree() > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {p.degree()} exceeds cap {DEGREE_CAP}")
-    v0, B, det = _simplex_chart(simplex)
-    dim = len(v0)
-    if len(lam) != dim:
-        raise InconsistentInputs("lambda dimension mismatch")
-    lamf = [float(x) for x in lam]
-    c = [sum(float(B[i][j]) * lamf[i] for i in range(dim)) for j in range(dim)]
-    mono = _pullback_monomials(p, v0, B)
-    pieces = []
-    for beta in sorted(mono):
-        pieces.append(mono[beta] * _std_simplex_integral(beta, c))
-    total, peak = kahan_sum(pieces)
-    if peak > 0 and abs(total) < _CANCEL_LIMIT * peak:
-        raise PrecisionLoss(
-            f"cancellation: |sum| {abs(total):.3e} vs peak {peak:.3e}")
-    shift = sum(float(v0[i]) * lamf[i] for i in range(dim))
-    return abs(float(det)) * float(np.exp(shift)) * total
-
-
 # -- cached per-polytope moment machinery ------------------------------------
 
 class _SimplexBlock:
-    __slots__ = ("v0f", "Bf", "absdet", "mono", "c_cache")
+    __slots__ = ("v0f", "Bf", "absdet", "mono")
 
     def __init__(self, simplex, pi: Polynomial):
         v0, B, det = _simplex_chart(simplex)
@@ -193,18 +150,15 @@ class _SimplexBlock:
 
 
 class MomentEngine:
-    """Caches triangulation and pullbacks of pi for one polytope."""
+    """Caches the pullbacks of pi to a list of simplices that tile a region."""
 
-    def __init__(self, region: Polytope, pi: Polynomial):
+    def __init__(self, simplices: Sequence, pi: Polynomial):
         if pi.degree() > DEGREE_CAP:
             raise DegreeCapExceeded(f"degree {pi.degree()} exceeds cap {DEGREE_CAP}")
-        if pi.dim != region.dim:
+        if any(len(v) != pi.dim for s in simplices for v in s):
             raise InconsistentInputs("density dimension mismatch")
-        self.region = region
-        self.pi = pi
-        self.dim = region.dim
-        self.simplices = triangulate(region)
-        self.blocks = [_SimplexBlock(s, pi) for s in self.simplices]
+        self.dim = pi.dim
+        self.blocks = [_SimplexBlock(s, pi) for s in simplices]
 
     def _needed_indices(self, blk: _SimplexBlock, orders: int):
         dim = self.dim
@@ -251,6 +205,8 @@ class MomentEngine:
 
     def moments(self, lam: Sequence[float], orders: int = 2) -> RegionMoments:
         dim = self.dim
+        if len(lam) != dim:
+            raise InconsistentInputs(f"lambda has {len(lam)} coordinates, region has dimension {dim}")
         lamf = tuple(float(x) for x in lam)
         all_vals = self._all_integrals(lamf, orders)
         z_parts: List[float] = []
@@ -314,7 +270,7 @@ class MomentEngine:
 
 @lru_cache(maxsize=128)
 def get_engine(region: Polytope, pi: Polynomial) -> MomentEngine:
-    return MomentEngine(region, pi)
+    return MomentEngine(triangulate(region), pi)
 
 
 def region_moments(region: Polytope, pi: Polynomial, lam: Sequence[float]) -> RegionMoments:
@@ -322,15 +278,22 @@ def region_moments(region: Polytope, pi: Polynomial, lam: Sequence[float]) -> Re
     return get_engine(region, pi).moments(lam, orders=2)
 
 
+def integrate_simplex(p: Polynomial, lam: Sequence[float], simplex) -> float:
+    """int_simplex p(y) exp(<lam, y>) dy, closed form, float64.
+
+    The polynomial degree is capped at DEGREE_CAP; degenerate simplices raise.
+    """
+    return MomentEngine([simplex], p).z(lam)
+
+
 def integrate_region(region: Polytope, p: Polynomial, lam: Sequence[float],
                      subdivisions: int = 0) -> float:
-    """Sum of integrate_simplex over a triangulation, with optional uniform
-    refinement (each level splits every simplex into 2^dim children)."""
+    """int_region p(y) exp(<lam, y>) dy over a triangulation, with optional
+    uniform refinement (each level splits every simplex into 2^dim children)."""
     simplices = triangulate(region)
     for _ in range(subdivisions):
         simplices = [child for s in simplices for child in subdivide_simplex(s)]
-    parts = [integrate_simplex(p, lam, s) for s in simplices]
-    return kahan_sum(parts)[0]
+    return MomentEngine(simplices, p).z(lam)
 
 
 def subdivide_simplex(simplex) -> List[tuple]:

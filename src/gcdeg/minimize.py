@@ -3,9 +3,11 @@
 h is smooth and strictly convex (its Hessian is a covariance of a measure
 with full-dimensional support), so the constrained minimizer over the
 polyhedral dominant cone is unique and lies in the relative interior of
-exactly one face. Every face S (a subset of the simple-root walls) is solved
-by Newton on its subspace; a face is accepted when its solution is feasible
-for the remaining walls and the KKT multipliers on S are nonnegative.
+exactly one face. The faces S (subsets of the simple-root walls) are solved
+one at a time by Newton on their subspaces, smallest first and then in
+lexicographic order; the search stops at the first face whose solution
+converged, is feasible for the remaining walls and has nonnegative KKT
+multipliers on S.
 
 Before any face is solved, coercivity is certified: h(t d) -> +infinity along
 every chamber direction d iff max_{y in P+} <d, y - 2rho> > 0 for all nonzero
@@ -17,7 +19,6 @@ chamber.
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -42,7 +43,6 @@ class MinimizeOptions:
     tol_kkt: float = 1e-8
     grad_tol: float = 1e-10
     max_iter: int = 100
-    threads: Optional[int] = None  # default: GCDEG_THREADS or 1
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,6 @@ class MinimizerReport:
     coercivity: CoercivityReport
     converged: bool
     options: MinimizeOptions
-    notes: Tuple[str, ...] = ()
-
-
-def _threads(opts: MinimizeOptions) -> int:
-    if opts.threads is not None:
-        return max(1, int(opts.threads))
-    try:
-        return max(1, int(os.environ.get("GCDEG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def chamber_rays(rs: RootSystem):
@@ -253,31 +243,21 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
         (tuple(s) for k in range(rs.rank + 1) for s in itertools.combinations(range(rs.rank), k)),
         key=lambda s: (len(s), s))
 
-    def solve_face(S):
+    visits: List[FaceVisit] = []
+    for S in faces:
         rows = [simple_exact[i] for i in S]
         basis = nullspace(rows, dim) if rows else \
             [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
-        if not basis:
+        if basis:
+            N = np.asarray([[float(x) for x in col] for col in basis]).T
+            xi, val, b, gnorm, iters, conv = _face_newton(engine, two_rho, N, opts)
+            lam = N @ xi
+        else:
             lam = np.zeros(dim)
             mom = engine.moments(tuple(lam), orders=1)
             val = math.log(mom.z)
             b = np.asarray(mom.first) / mom.z
-            return S, lam, val, b, 0.0, 0, True
-        N = np.asarray([[float(x) for x in col] for col in basis]).T
-        xi, val, b, gnorm, iters, conv = _face_newton(engine, two_rho, N, opts)
-        return S, N @ xi, val, b, gnorm, iters, conv
-
-    nthreads = _threads(opts)
-    if nthreads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            results = list(ex.map(solve_face, faces))
-    else:
-        results = [solve_face(S) for S in faces]
-
-    visits: List[FaceVisit] = []
-    accepted = []
-    for S, lam, val, b, gnorm, iters, conv in results:
+            gnorm, iters, conv = 0.0, 0, True
         feasible = all(
             float(a @ lam) >= -opts.tol_wall for j, a in enumerate(simple) if j not in S)
         kkt_ok = False
@@ -291,20 +271,10 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
         visits.append(FaceVisit(face=S, converged=conv, feasible=feasible,
                                 kkt_ok=kkt_ok, lambda_face=tuple(float(x) for x in lam),
                                 h_value=val, iterations=iters))
-        if conv and feasible and kkt_ok:
-            accepted.append((S, lam, val, b, gnorm, iters))
-
-    if not accepted:
+        if kkt_ok:
+            break
+    else:
         raise NoFaceAccepted("no face produced a feasible KKT point")
-    accepted.sort(key=lambda t: (len(t[0]), t[0]))
-    S, lam, val, b, gnorm, _ = accepted[0]
-
-    notes = []
-    if len(accepted) > 1:
-        others = [a[0] for a in accepted[1:]]
-        notes.append(
-            f"faces {others} also satisfied the KKT test within tolerance; "
-            f"smallest active set {S} selected deterministically")
 
     # Geometric active set: walls containing lambda0 within tol_wall.
     scale = 1.0 + float(np.linalg.norm(lam))
@@ -331,7 +301,6 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
         coercivity=co,
         converged=True,
         options=opts,
-        notes=tuple(notes),
     )
 
 

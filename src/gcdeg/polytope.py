@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from ._numeric import dot, mat_rank, solve_exact, to_exact, vec_exact
@@ -133,25 +133,12 @@ def _hull_halfspaces(vertices: Sequence[Vector], dim: int) -> List[Halfspace]:
 
 def _normalize_halfspace(n: Vector, b: Fraction) -> Halfspace:
     """Scale so the normal has coprime integer entries (sign preserved)."""
-    dens = [c.denominator for c in n]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // _gcd(lcm, d)
-    ints = [c * lcm for c in n]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c.numerator))
+    den = lcm(*(c.denominator for c in n))
+    g = gcd(*((c * den).numerator for c in n))
     if g:
-        scale = Fraction(lcm, g)
+        scale = Fraction(den, g)
         return tuple(c * scale for c in n), b * scale
     return n, b
-
-
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def try_build(halfspaces: Sequence[Tuple[Sequence, object]]) -> Tuple[str, Optional[Polytope]]:

@@ -71,12 +71,6 @@ class RootSystem:
         c = 2 * dot(a, y) / dot(a, a)
         return tuple(x - c * ax for x, ax in zip(y, a))
 
-    def root_span_rank(self) -> int:
-        if self.exact:
-            return mat_rank(self.simple_roots)
-        import numpy as np
-        return int(np.linalg.matrix_rank(np.array(self.simple_roots, dtype=float)))
-
     def root_coefficients(self, v: Sequence):
         """Write v = sum c_i alpha_i over the simple roots.
 

@@ -38,16 +38,6 @@ class PLConcave:
         yq = vec_exact(y)
         return min(c - dot(lam, yq) for c, lam in self.pieces)
 
-    def eval_float(self, y: Sequence[float]) -> float:
-        return min(float(c) - sum(float(l) * float(x) for l, x in zip(lam, y))
-                   for c, lam in self.pieces)
-
-    def eval_grid(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        vals = np.full(pts.shape[0], np.inf)
-        for c, lam in self.pieces:
-            vals = np.minimum(vals, float(c) - pts @ np.asarray([float(x) for x in lam]))
-        return vals
 
 
 def _chamber_margin(rs: RootSystem, lam) -> float:

@@ -11,7 +11,6 @@ acceptance criteria 1-2 re-derive the SO(4) constants on every run.
 import io
 import itertools
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,21 +188,11 @@ def wall_ref_case2():
     return so4_wall_reference(wall_pieces(CASE2_VERTICES))
 
 
-def run_cli(argv, threads=None):
+def run_cli(argv):
     """Run the CLI in-process; returns (exit_code, stdout_text, stderr_text)."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("GCDEG_THREADS")
-    try:
-        if threads is not None:
-            os.environ["GCDEG_THREADS"] = str(threads)
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if threads is not None:
-            if saved is None:
-                os.environ.pop("GCDEG_THREADS", None)
-            else:
-                os.environ["GCDEG_THREADS"] = saved
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 

@@ -5,6 +5,9 @@ import warnings
 
 import pytest
 
+from gcdeg import get_engine
+from gcdeg.presets import get_preset
+
 from conftest import dec, run_cli, vec
 
 
@@ -160,10 +163,21 @@ def test_text_format():
     assert "minimization.multipliers = [0.125]" in out
 
 
-def test_thread_env_byte_determinism():
-    _, out1, _ = run_cli(["analyze", "--preset", "so4-case1"], threads=1)
-    _, out8, _ = run_cli(["analyze", "--preset", "so4-case1"], threads=8)
-    assert out1 == out8
+def test_analyze_byte_determinism():
+    _, out1, _ = run_cli(["analyze", "--preset", "so4-case1"])
+    get_engine.cache_clear()
+    _, out2, _ = run_cli(["analyze", "--preset", "so4-case1"])
+    assert out1 == out2
+
+
+def test_no_face_accepted_exit_code(tmp_path):
+    # With one Newton iteration per face, no face of so4-case2 passes the
+    # convergence, feasibility and KKT tests.
+    doc = tmp_path / "case2.json"
+    doc.write_text(json.dumps(dict(get_preset("so4-case2"), options={"max_iter": 1})))
+    code, out, _ = run_cli(["analyze", "--input", str(doc)])
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "NoFaceAccepted"
 
 
 def test_mc_check_deterministic():

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 from scipy.linalg import expm as scipy_expm
 
-from gcdeg import (DegreeCapExceeded, McConfig, RootSystemSpec,
-                   build_polytope, build_root_system, dh_density, get_engine,
-                   integrate_region, integrate_simplex, mc_integrate,
-                   region_moments, subdivide_simplex)
+from gcdeg import (DegreeCapExceeded, InconsistentInputs, McConfig,
+                   RootSystemSpec, build_polytope, build_root_system,
+                   dh_density, get_engine, h_vector, integrate_region,
+                   integrate_simplex, mc_integrate, region_moments,
+                   subdivide_simplex)
 from gcdeg._poly import Polynomial
-from gcdeg.expint import _dd_exp, _expm_stack
+from gcdeg.expint import _dd_exp_many, _expm_stack
 
 UNIT_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(1)))
@@ -47,10 +48,10 @@ def test_standard_simplex_volume():
 
 def test_divided_difference_small_cases():
     a, b = 0.7, -0.3
-    dd = _dd_exp((a, b))
+    dd, conf, single = _dd_exp_many([(a, b), (a, a), (a,)])
     assert dd == pytest.approx((math.exp(a) - math.exp(b)) / (a - b), rel=1e-14)
-    assert _dd_exp((a, a)) == pytest.approx(math.exp(a), rel=1e-14)
-    assert _dd_exp((a,)) == pytest.approx(math.exp(a), rel=1e-15)
+    assert conf == pytest.approx(math.exp(a), rel=1e-14)
+    assert single == pytest.approx(math.exp(a), rel=1e-15)
 
 
 def test_expm_stack_matches_scipy():
@@ -200,3 +201,13 @@ def test_engine_cache_and_moments(case1_poly, rs_so4):
     assert mm.z == pytest.approx(m.z, rel=1e-13)
     assert mm.first[0] == pytest.approx(m.first[0], rel=1e-12)
     assert mm.second[1][1] == pytest.approx(m.second[1][1], rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [(0.1,), (0.1, -0.1, 5.0)])
+def test_wrong_length_slope_raises(rs_so4, case1_poly, lam):
+    # A too-long slope used to be truncated silently; a too-short one raised
+    # IndexError.
+    with pytest.raises(InconsistentInputs):
+        region_moments(case1_poly, dh_density(rs_so4), lam)
+    with pytest.raises(InconsistentInputs):
+        h_vector(rs_so4, case1_poly, lam)
