@@ -7,9 +7,16 @@ code can pick exact or floating paths.
 """
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from math import lcm
+from typing import Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
+
+# Integer arrays run in int64 while a bound on every intermediate stays
+# below this; past it they hold Python ints (dtype=object).
+INT64_SAFE = 1 << 62
 
 
 def to_exact(x) -> Fraction:
@@ -142,3 +149,50 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
             return None
         x[pc] = rr[ri][-1]
     return tuple(x)
+
+
+# -- scaled integer arrays ---------------------------------------------------
+
+def scaled_ints(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Integer rows and one positive scale D with rows[i][j] == out[i][j] / D
+    (entries are ints or Fractions)."""
+    d = lcm(*{x.denominator for r in rows for x in r})
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def int_points(points: Sequence[Sequence], dim: int) -> Tuple[np.ndarray, int]:
+    """Points as integer rows P and one positive scale D, points[i] == P[i] / D."""
+    rows, d = scaled_ints(points)
+    return int_array(rows, dim, max_abs(rows)), d
+
+
+def max_abs(rows: Sequence[Sequence[int]]) -> int:
+    return max((abs(x) for r in rows for x in r), default=0)
+
+
+def int_array(rows: Sequence[Sequence[int]], ncols: int, bound: int) -> np.ndarray:
+    """rows as an (n, ncols) int64 array when bound < INT64_SAFE, else on
+    Python ints; bound caps every intermediate the caller will form."""
+    dtype = np.int64 if bound < INT64_SAFE else object
+    return np.array(rows, dtype=dtype).reshape(len(rows), ncols)
+
+
+def _amax(a: np.ndarray) -> int:
+    """max |a|, 0 when a is empty."""
+    return int(np.abs(a).max(initial=0))
+
+
+def widen(a: np.ndarray, factor: int) -> np.ndarray:
+    """a, moved to Python ints when its entries times factor could leave
+    the int64 range."""
+    if a.dtype != object and max(_amax(a), 1) * factor >= INT64_SAFE:
+        return a.astype(object)
+    return a
+
+
+def int_matmul(a: np.ndarray, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """a @ rows.T, exact, for an integer array a and Python-int rows."""
+    m = int_array(rows, a.shape[1], a.shape[1] * max(_amax(a), 1) * max(max_abs(rows), 1))
+    if m.dtype == object:
+        a = a.astype(object)
+    return a @ m.T

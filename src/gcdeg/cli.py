@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import fmt15, frac_str
+from ._numeric import fmt15, frac_str, int_points, widen
 from .degeneration import (central_fibre_report, consistency_with_ke,
                            stability_verdict)
 from .errors import GcdegError, InconsistentInputs, SchemaError
@@ -34,7 +34,8 @@ from .oracle import McConfig, mc_integrate
 from .polytope import Polytope, build_polytope
 from .presets import get_preset, list_presets
 from .rootsys import RootSystem, RootSystemSpec, build_root_system, dh_density
-from .testconfig import PLConcave, approximate_p, filtration_table, from_vector, pl_concave
+from .testconfig import (PLConcave, approximate_p, filtration_table, from_vector, pl_concave,
+                         piece_minima)
 
 PROG = "gcdeg"
 
@@ -433,17 +434,13 @@ def run_approx(args) -> Dict:
     q = args.q if args.q is not None else 4 * args.p
     fp = approximate_p(f, args.p, q)
     from .polytope import lattice_points
-    gap_max = Fraction(0)
-    below = 0
-    npts = 0
-    for pt in lattice_points(p_plus, q):
-        x = tuple(c / q for c in pt)
-        gap = fp.eval(x) - f.eval(x)
-        npts += 1
-        if gap < 0:
-            below += 1
-        elif gap > gap_max:
-            gap_max = gap
+    grid = lattice_points(p_plus, q)
+    P, dp = int_points(grid, p_plus.dim)
+    nf, sf = piece_minima(f.pieces, P, dp * q)
+    nfp, sfp = piece_minima(fp.pieces, P, dp * q)
+    gaps = widen(nfp, sf) * sf - widen(nf, sfp) * sfp     # (f_p - f) * sf * sfp
+    below = int(np.count_nonzero(gaps < 0))
+    gap_max = Fraction(int(gaps.max(initial=0)), sf * sfp)
     return {
         "command": "approx",
         "source": source,
@@ -452,7 +449,7 @@ def run_approx(args) -> Dict:
         "pieces": [{"c": c, "slope": list(lam)} for c, lam in fp.pieces],
         "rational": fp.rational,
         "nondominant_pieces": list(fp.nondominant_pieces),
-        "audit": {"grid_points": npts,
+        "audit": {"grid_points": len(grid),
                   "max_gap": gap_max,
                   "bound": Fraction(1, int(args.p)),
                   "points_below_f": below,

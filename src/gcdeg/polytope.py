@@ -13,7 +13,10 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from ._numeric import dot, mat_rank, solve_exact, to_exact, vec_exact
+import numpy as np
+
+from ._numeric import (dot, int_array, int_matmul, mat_rank, max_abs, solve_exact,
+                       to_exact, vec_exact)
 from .errors import Empty, InconsistentInputs, LowerDimensional, Unbounded
 
 Vector = Tuple[Fraction, ...]
@@ -402,25 +405,28 @@ def _lattice_points_cached(p: Polytope, k: int,
     import math as _m
     lo = [int(_m.floor(min(cv[i] for cv in coeff_verts))) for i in range(dim)]
     hi = [int(_m.ceil(max(cv[i] for cv in coeff_verts))) for i in range(dim)]
-    box = itertools.product(*[range(lo[i], hi[i] + 1) for i in range(dim)])
-    out = []
     if basis_key is None:
-        # Clear denominators so candidate tests run in pure integers.
-        ineqs = []
+        # Clear denominators once; the box test is one integer A @ box <= b.
+        rows, rhs = [], []
         for n, b in p.halfspaces:
             kb = k * b
             den = lcm(kb.denominator, *(x.denominator for x in n))
-            ineqs.append(([int(x * den) for x in n], int(kb * den)))
-        for combo in box:
-            if all(sum(c * x for c, x in zip(nn, combo)) <= bb
-                   for nn, bb in ineqs):
-                out.append(tuple(Fraction(c) for c in combo))
-    else:
-        khs = [(n, k * b) for n, b in p.halfspaces]
-        for combo in box:
-            y = tuple(sum(Fraction(combo[j]) * basis[j][i] for j in range(dim))
-                      for i in range(dim))
-            if all(dot(n, y) <= b for n, b in khs):
-                out.append(y)
+            rows.append([int(x * den) for x in n])
+            rhs.append([int(kb * den)])
+        # lexicographic order, as itertools.product walks the box
+        axes = np.meshgrid(*[np.arange(lo[i], hi[i] + 1) for i in range(dim)], indexing="ij")
+        box = np.stack(axes, axis=-1).reshape(-1, dim)
+        b = int_array(rhs, 1, max_abs(rhs))[:, 0]
+        box = box[np.all(int_matmul(box, rows) <= b, axis=1)]
+        coord = {c: Fraction(c) for c in np.unique(box).tolist()}   # shared, immutable
+        return tuple(tuple(map(coord.__getitem__, row)) for row in box.tolist())
+    box = itertools.product(*[range(lo[i], hi[i] + 1) for i in range(dim)])
+    out = []
+    khs = [(n, k * b) for n, b in p.halfspaces]
+    for combo in box:
+        y = tuple(sum(Fraction(combo[j]) * basis[j][i] for j in range(dim))
+                  for i in range(dim))
+        if all(dot(n, y) <= b for n, b in khs):
+            out.append(y)
     out.sort()
     return tuple(out)

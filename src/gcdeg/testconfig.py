@@ -16,9 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import dot, is_exact_input, to_exact, vec_exact
-from .errors import (ComponentOutsidePolytope, InconsistentInputs, NotDominant,
-                     NotDominantPiece)
+from ._numeric import (INT64_SAFE, dot, int_array, int_matmul, int_points,
+                       is_exact_input, max_abs, nullspace, scaled_ints, solve_exact, to_exact,
+                       vec_exact, widen)
+from .errors import (ComponentOutsidePolytope, InconsistentInputs, InvalidCartanDatum,
+                     NotDominant, NotDominantPiece)
 from .polytope import Polytope, lattice_points
 from .rootsys import RootSystem
 
@@ -40,9 +42,13 @@ class PLConcave:
 
 
 
-def _chamber_margin(rs: RootSystem, lam) -> float:
+def _outside_chamber(rs: RootSystem, lam, exact: bool) -> bool:
+    """True when lam pairs negatively with a simple root: exactly when the
+    roots and lam are exact, within a 1e-9 tolerance for float data."""
+    if exact and rs.exact:
+        return any(dot(alpha, lam) < 0 for alpha in rs.simple_roots)
     return min(sum(float(a) * float(x) for a, x in zip(alpha, lam))
-               for alpha in rs.simple_roots)
+               for alpha in rs.simple_roots) < -1e-9
 
 
 def pl_concave(rs: RootSystem, domain: Polytope, pieces: Sequence[Tuple],
@@ -50,9 +56,11 @@ def pl_concave(rs: RootSystem, domain: Polytope, pieces: Sequence[Tuple],
     """Validated constructor. Each slope must lie in the closed dominant
     chamber; with strict=False violations are flagged instead of raised."""
     norm: List[Piece] = []
+    exact_slopes = []
     rational = True
     for c, lam in pieces:
-        if not (is_exact_input(c) and all(is_exact_input(x) for x in lam)):
+        exact_slopes.append(all(is_exact_input(x) for x in lam))
+        if not (is_exact_input(c) and exact_slopes[-1]):
             rational = False
         norm.append((to_exact(c), vec_exact(lam)))
         if len(norm[-1][1]) != domain.dim:
@@ -60,7 +68,7 @@ def pl_concave(rs: RootSystem, domain: Polytope, pieces: Sequence[Tuple],
     if not norm:
         raise InconsistentInputs("at least one piece required")
     bad = tuple(i for i, (_, lam) in enumerate(norm)
-                if _chamber_margin(rs, lam) < -1e-9)
+                if _outside_chamber(rs, lam, exact_slopes[i]))
     if bad and strict:
         raise NotDominantPiece(f"piece(s) {bad} have slopes outside the closed chamber")
     return PLConcave(rs=rs, domain=domain, pieces=tuple(norm),
@@ -71,12 +79,27 @@ def from_vector(rs: RootSystem, p_plus: Polytope, lam: Sequence,
                 c0=0) -> PLConcave:
     """The one-piece (linear) datum f(y) = c0 - <lam, y> for dominant lam."""
     lamq = vec_exact(lam)
-    if _chamber_margin(rs, lamq) < -1e-9:
+    exact_slope = all(is_exact_input(x) for x in lam)
+    if _outside_chamber(rs, lamq, exact_slope):
         raise NotDominant(f"{tuple(lam)} is outside the closed dominant chamber")
-    exact = is_exact_input(c0) and all(is_exact_input(x) for x in lam)
+    exact = is_exact_input(c0) and exact_slope
     f = PLConcave(rs=rs, domain=p_plus, pieces=((to_exact(c0), lamq),),
                   rational=exact, nondominant_pieces=())
     return f
+
+
+def piece_minima(pieces: Sequence[Piece], P: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
+    """Integer numerators N and one scale S with
+    min_a (C_a - <Lambda_a, P_i/den>) == N[i] / S for integer points P.
+
+    Denominators are cleared once: with the pieces scaled by ps,
+    N = C*ps*den - P @ L.T and S = ps*den, then the row minimum. Each term
+    is int64 while a bound on it stays below 2**62, else Python ints
+    (float-derived data, e.g. A2/G2 slopes), so the difference cannot wrap."""
+    rows, ps = scaled_ints([(c,) + lam for c, lam in pieces])
+    c = [[r[0] * den for r in rows]]
+    n = int_array(c, len(rows), max_abs(c)) - int_matmul(P, [r[1:] for r in rows])
+    return n.min(axis=1), ps * den
 
 
 # -- filtration tables -------------------------------------------------------
@@ -113,17 +136,48 @@ def _gamma_rank(values: Sequence[Fraction], rational: bool) -> Tuple[int, str]:
     return 1, "numeric"
 
 
-def _root_coords_exact(rs: RootSystem, points):
-    """Simple-root coordinates and off-span residual vector per point, exact."""
-    coords = []
-    for p in points:
-        c, _ = rs.root_coefficients(p)
-        recon = tuple(
-            sum(to_exact(c[j]) * to_exact(rs.simple_roots[j][i]) for j in range(rs.rank))
-            for i in range(rs.dim))
-        resid = tuple(to_exact(p[i]) - recon[i] for i in range(rs.dim))
-        coords.append((tuple(to_exact(x) for x in c), resid))
-    return coords
+def _root_coords(rs: RootSystem, P: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Simple-root coordinates of the points P (integer rows, one positive
+    scale) and a class label per point: equal labels mean equal off-span
+    residuals. One exact Gram solve serves all points; float roots enter
+    as their exact binary values."""
+    roots = [vec_exact(a) for a in rs.simple_roots]
+    # c = M p with M = (A A^T)^-1 A; residual (I - A^T M) p
+    gram = [[dot(a, b) for b in roots] for a in roots]
+    cols = [solve_exact(gram, [a[i] for a in roots]) for i in range(rs.dim)]
+    if None in cols:
+        raise InvalidCartanDatum("degenerate simple-root Gram matrix")
+    m = [[col[j] for col in cols] for j in range(rs.rank)]
+    r = [[int(i == t) - sum(a[i] * mj[t] for a, mj in zip(roots, m)) for t in range(rs.dim)]
+         for i in range(rs.dim)]
+    coords = int_matmul(P, scaled_ints(m)[0])
+    resid = int_matmul(P, scaled_ints(r)[0]).tolist()
+    labels: Dict[Tuple, int] = {}
+    return coords, [labels.setdefault(tuple(x), len(labels)) for x in resid]
+
+
+def _radix(lo: np.ndarray, hi: np.ndarray):
+    """Injective integer key of the integer rows between lo and hi
+    (columnwise), as a mixed-radix number."""
+    span = [h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+    stride = [math.prod(span[:i]) for i in range(len(span))]
+    dtype = np.int64 if math.prod(span) < INT64_SAFE and lo.dtype != object else object
+    lo, stride = lo.astype(dtype), np.array(stride, dtype=dtype)
+    return lambda x: (x - lo) @ stride
+
+
+def _lookup(keys: np.ndarray):
+    """Index lookup of keys among the given keys; the last of equal keys
+    wins, as in a dict built in order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+
+    def find(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        pos = np.searchsorted(ordered, q, side="right") - 1
+        hit = pos >= 0
+        hit[hit] = ordered[pos[hit]] == q[hit]
+        return hit, order[pos[hit]]
+    return find
 
 
 def check_table(rs: RootSystem, table: "FiltrationTable") -> Dict:
@@ -132,32 +186,33 @@ def check_table(rs: RootSystem, table: "FiltrationTable") -> Dict:
     Dominance: if mu - lambda is a nonnegative combination of simple roots
     then s_lambda >= s_mu. Concavity: for table points lambda, mu whose
     midpoint is a table point, 2 s_mid >= s_lambda + s_mu.
+
+    Runs on integers: points, values and simple-root coordinates are each
+    scaled by one common denominator, in int64 while a bound on every
+    intermediate stays below 2**62 and on Python ints past it. Dominance is
+    one vectorized row test per point (coordinates >=, same off-span
+    residual, larger value); concavity looks up the sums P[i] + P[j] among
+    mixed-radix keys of 2P. Memory is O(n) per row; violations are listed
+    in (i, j) ascending order.
     """
     pts = table.points
-    vals = table.values
-    index = {p: i for i, p in enumerate(pts)}
-    coords = _root_coords_exact(rs, pts)
     dominance = []
     concavity = []
-    n = len(pts)
-    for i in range(n):
-        ci, ri = coords[i]
-        for j in range(n):
-            if i == j:
-                continue
-            cj, rj = coords[j]
-            if ri != rj:
-                continue  # difference leaves the root span: incomparable
-            d = [cj[t] - ci[t] for t in range(rs.rank)]
-            if all(x >= 0 for x in d):
-                # pts[j] dominates pts[i]
-                if vals[i] < vals[j]:
-                    dominance.append((pts[i], pts[j]))
-        for j in range(i + 1, n):
-            mid = tuple((a + b) / 2 for a, b in zip(pts[i], pts[j]))
-            m = index.get(mid)
-            if m is not None and 2 * vals[m] < vals[i] + vals[j]:
-                concavity.append((pts[i], pts[j], mid))
+    if pts:
+        P = widen(int_points(pts, len(pts[0]))[0], 2)
+        V = widen(int_points([(v,) for v in table.values], 1)[0][:, 0], 2)
+        coords, labels = _root_coords(rs, P)
+        labels = np.array(labels)
+        key = _radix(2 * P.min(axis=0), 2 * P.max(axis=0))
+        find = _lookup(key(2 * P))
+        for i in range(len(pts)):
+            dom = (V > V[i]) & (labels == labels[i]) & np.all(coords >= coords[i], axis=1)
+            dominance.extend((pts[i], pts[j]) for j in np.flatnonzero(dom).tolist())
+            hit, m = find(key(P[i] + P[i + 1:]))
+            j = np.flatnonzero(hit) + i + 1
+            bad = 2 * V[m] < V[i] + V[j]
+            concavity.extend((pts[i], pts[a], pts[b])
+                             for a, b in zip(j[bad].tolist(), m[bad].tolist()))
     return {"dominance": dominance, "concavity": concavity,
             "ok": not dominance and not concavity}
 
@@ -194,7 +249,9 @@ def filtration_table(f: PLConcave, k: int,
     if k < 1:
         raise InconsistentInputs("k must be a positive integer")
     pts = tuple(lattice_points(f.domain, k, lattice))
-    vals = tuple(k * f.eval(tuple(x / k for x in p)) for p in pts)
+    P, dp = int_points(pts, f.domain.dim)
+    n, scale = piece_minima(f.pieces, P, dp * k)
+    vals = tuple(Fraction(k * v, scale) for v in n.tolist())
     return table_from_values(f.rs, f.domain, k, vals, points=pts)
 
 
@@ -203,17 +260,28 @@ def check_superadditive(t1: FiltrationTable, t2: FiltrationTable,
     """s^(k1+k2)_{l+m} >= s^(k1)_l + s^(k2)_m for all pairs; violations listed."""
     if t1.k + t2.k != t12.k:
         raise InconsistentInputs("table levels must satisfy k1 + k2 = k12")
-    lookup = t12.as_dict()
     violations = []
     missing = []
-    for p1, v1 in zip(t1.points, t1.values):
-        for p2, v2 in zip(t2.points, t2.values):
-            s = tuple(a + b for a, b in zip(p1, p2))
-            v12 = lookup.get(s)
-            if v12 is None:
-                missing.append(s)
-            elif v12 < v1 + v2:
-                violations.append((p1, p2, s))
+    pts = t1.points + t2.points + t12.points
+    if t1.points and t2.points:
+        n1, n2 = len(t1.points), len(t1.points) + len(t2.points)
+        P = widen(int_points(pts, len(pts[0]))[0], 2)
+        V = widen(int_points([(v,) for v in t1.values + t2.values + t12.values], 1)[0][:, 0], 2)
+        P1, P2, P12 = P[:n1], P[n1:n2], P[n2:]
+        V1, V2, V12 = V[:n1], V[n1:n2], V[n2:]
+        lo, hi = P1.min(axis=0) + P2.min(axis=0), P1.max(axis=0) + P2.max(axis=0)
+        if len(P12):
+            lo, hi = np.minimum(lo, P12.min(axis=0)), np.maximum(hi, P12.max(axis=0))
+        key = _radix(lo, hi)
+        find = _lookup(key(P12))
+        for i, p1 in enumerate(t1.points):
+            hit, m = find(key(P1[i] + P2))
+            missing.extend(tuple(a + b for a, b in zip(p1, t2.points[j]))
+                           for j in np.flatnonzero(~hit).tolist())
+            j = np.flatnonzero(hit)
+            bad = V12[m] < V1[i] + V2[j]
+            violations.extend((p1, t2.points[a], t12.points[b])
+                              for a, b in zip(j[bad].tolist(), m[bad].tolist()))
     return {"violations": violations, "missing": missing,
             "ok": not violations and not missing}
 
@@ -281,81 +349,146 @@ def _upper_hull_1d(xs: List[Fraction], gs: List[Fraction]) -> List[Piece]:
     return pieces
 
 
-def _upper_hull_planes(pts: List[Tuple[Fraction, ...]], gs: List[Fraction],
-                       dim: int) -> List[Piece]:
-    """Exact supporting planes of the upper concave envelope.
+def _upper_hull_planes(P: np.ndarray, G: np.ndarray, q: int, p: int) -> List[Piece]:
+    """Exact supporting planes of the upper concave envelope of the lifted
+    grid points (P_i/q, G_i/p), with P and G integer.
 
-    Facet slopes come from a floating hull of the lifted points; each slope's
-    offset is then snapped exactly to max(g + <slope, x>), so every returned
-    plane is an exact support of the data."""
+    The upper facets of the lifted points come from an exact integer hull
+    (_hull_facets); each facet's offset is the exact maximum of
+    g - <slope, x> over every grid point, so every returned plane is an
+    exact support of the data."""
+    dim = P.shape[1]
     if dim == 1:
-        return _upper_hull_1d([p[0] for p in pts], gs)
-    from scipy.spatial import ConvexHull, QhullError
-    lifted = np.array([[float(x) for x in p] + [float(g)] for p, g in zip(pts, gs)])
-    slopes = set()
-    try:
-        hull = ConvexHull(lifted, qhull_options="Qt")
-        for simplex, eq in zip(hull.simplices, hull.equations):
-            if eq[dim] <= 1e-12:      # not an upper facet
-                continue
-            tri = [(pts[i], gs[i]) for i in simplex]
-            slope = _exact_plane_slope(tri, dim)
-            if slope is not None:
-                slopes.add(slope)
-    except QhullError:
-        pass
-    if not slopes:
-        # Degenerate data (affine g): one exact plane through independent points.
-        slope = _affine_fit(pts, gs, dim)
-        if slope is None:
-            raise InconsistentInputs("could not construct the upper envelope")
-        slopes.add(slope)
+        return _upper_hull_1d([Fraction(x, q) for x in P[:, 0].tolist()],
+                              [Fraction(g, p) for g in G.tolist()])
+    Y = np.column_stack([P, G])
+    facets = _hull_facets(Y, upper=True)
+    if facets is None:
+        raise InconsistentInputs("could not construct the upper envelope")
+    # facet N.(x, g) = const in scaled coordinates: slope of g in x is -N_x q / (N_g p)
+    slopes = sorted(tuple(Fraction(-q * a, p * n[-1]) for a in n[:-1]) for n, _ in facets)
     pieces = []
-    X = np.array([[float(x) for x in p] for p in pts])
-    G = np.array([float(g) for g in gs])
-    for slope in sorted(slopes):
-        sl = np.array([float(s) for s in slope])
-        margins = G - X @ sl
-        top = float(margins.max())
-        cand = [i for i in range(len(pts)) if margins[i] >= top - 1e-7]
-        c_exact = max(gs[i] - dot(slope, pts[i]) for i in cand)
-        pieces.append((c_exact, tuple(-s for s in slope)))
+    for slope in slopes:
+        (num,), d = scaled_ints([slope])
+        top = (widen(G, q * d) * (q * d) - widen(int_matmul(P, [num])[:, 0], p) * p).max()
+        pieces.append((Fraction(int(top), p * q * d), tuple(-s for s in slope)))
     return pieces
 
 
-def _exact_plane_slope(tri, dim):
-    """Slope of the plane z = c + <slope, x> through dim+1 lifted points."""
-    base_x, base_g = tri[0]
-    rows = [[to_exact(p[i]) - to_exact(base_x[i]) for i in range(dim)] for p, _ in tri[1:]]
-    rhs = [to_exact(g) - to_exact(base_g) for _, g in tri[1:]]
-    from ._numeric import solve_exact, mat_rank
-    if mat_rank(rows) != dim:
-        return None
-    sol = solve_exact(rows, rhs)
-    return tuple(sol) if sol is not None else None
+# -- exact integer convex hulls ----------------------------------------------
+
+def _primitive(v) -> Tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _affine_fit(pts, gs, dim):
-    from ._numeric import mat_rank
-    base = 0
-    chosen = [base]
-    for i in range(1, len(pts)):
-        rows = [[pts[j][c] - pts[base][c] for c in range(dim)] for j in chosen[1:] + [i]]
-        if mat_rank(rows) > len(chosen) - 1:
-            chosen.append(i)
-        if len(chosen) == dim + 1:
-            break
-    if len(chosen) < dim + 1:
+def _normals(rows: Sequence[Sequence[int]], m: int) -> List[List[int]]:
+    """Integer basis of the vectors orthogonal to every row."""
+    return [scaled_ints([v])[0][0] for v in nullspace([[Fraction(x) for x in r] for r in rows], m)]
+
+
+def _flat_basis(D: np.ndarray) -> List[List[int]]:
+    """Rows of D that form a basis of its row space, picked one at a time
+    as the first row not orthogonal to the current basis's complement."""
+    basis: List[List[int]] = []
+    while True:
+        K = _normals(basis, D.shape[1])
+        hit = np.flatnonzero((int_matmul(D, K) != 0).any(axis=1)) if K else ()
+        if not len(hit):
+            return basis
+        basis.append(D[hit[0]].tolist())
+
+
+def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the largest num[i] / den[i] (den > 0), exact: floats pick
+    the near-ties and integer cross-multiplication decides among them."""
+    r = num.astype(float) / den.astype(float)
+    top = r.max()
+    cand = np.flatnonzero(r >= top - 1e-9 * abs(top)).tolist()
+    best = cand[0]
+    for i in cand[1:]:
+        if int(num[i]) * int(den[best]) > int(num[best]) * int(den[i]):
+            best = i
+    return best
+
+
+def _rotate(Y: np.ndarray, r: int, N: Tuple[int, ...], M: Sequence[int]):
+    """Turn the supporting hyperplane N through Y[r] toward M (M orthogonal
+    to the flat it turns about) until it meets another point: the new
+    primitive normal, or None when every point lies in N's hyperplane."""
+    height = int_matmul(Y, [N, M]) - int_matmul(Y[r:r + 1], [N, M])
+    depth = -height[:, 0]                              # >= 0 below the plane
+    off = np.flatnonzero(depth > 0)
+    if not len(off):
         return None
-    tri = [(pts[i], gs[i]) for i in chosen]
-    slope = _exact_plane_slope(tri, dim)
-    if slope is None:
-        return None
-    # must interpolate all points, otherwise the data was not affine
-    for p, g in zip(pts, gs):
-        if g - gs[chosen[0]] != dot(slope, tuple(p[i] - pts[chosen[0]][i] for i in range(dim))):
+    j = off[_argmax_ratio(height[off, 1], depth[off])]
+    tj, dj = int(height[j, 1]), int(depth[j])
+    return _primitive([tj * a + dj * b for a, b in zip(N, M)])
+
+
+def _contact(Y: np.ndarray, r: int, N: Tuple[int, ...]) -> np.ndarray:
+    h = int_matmul(Y, [N])[:, 0]
+    return np.flatnonzero(h == h[r])
+
+
+def _first_facet(Y: np.ndarray, upper: bool):
+    """One facet of conv(Y): the supporting hyperplane through the top point
+    in the last coordinate, turned about its contact flat until the flat is
+    (m-1)-dimensional. With upper, every turn keeps the last coordinate of
+    the normal positive. None when Y spans no facet."""
+    m = Y.shape[1]
+    up = (0,) * (m - 1) + (1,)
+    N = up
+    r = int(np.argmax(Y[:, -1]))
+    while True:
+        C = _contact(Y, r, N)
+        dirs = _flat_basis(Y[C] - Y[r])
+        if len(dirs) == m - 1:
+            return N, C
+        M = _normals(dirs + [N] + ([up] if upper and len(dirs) < m - 2 else []), m)[0]
+        for turn in (M, [-x for x in M]):
+            N2 = _rotate(Y, r, N, turn)
+            if N2 is not None and (not upper or N2[-1] > 0):
+                break
+        else:
             return None
-    return slope
+        N = N2
+
+
+def _hull_facets(Y: np.ndarray, upper: bool = False):
+    """Facets of conv(Y) for integer points Y (n x m), by exact gift
+    wrapping: pairs (primitive outer normal, contact point indices). With
+    upper, only the facets with a positive last normal coordinate, which
+    are connected across their ridges. None when Y spans no facet."""
+    m = Y.shape[1]
+    if m == 1:
+        return [((1,), np.flatnonzero(Y[:, 0] == Y[:, 0].max())),
+                ((-1,), np.flatnonzero(Y[:, 0] == Y[:, 0].min()))]
+    first = _first_facet(Y, upper)
+    if first is None:
+        return None
+    found = dict([first])
+    queue = [first]
+    ridges = set()
+    while queue:
+        N, C = queue.pop()
+        # ridges: facets of the contact set, projected along a normal axis
+        axis = next(i for i, x in enumerate(N) if x)
+        for _, R in _hull_facets(np.delete(Y[C], axis, axis=1)):
+            R = C[R]
+            if R.tobytes() in ridges:
+                continue
+            ridges.add(R.tobytes())
+            r = int(R[0])
+            M = _normals(_flat_basis(Y[R] - Y[r]) + [N], m)[0]
+            if int_matmul(Y[C] - Y[r], [M]).max() > 0:   # turn away from the facet
+                M = [-x for x in M]
+            N2 = _rotate(Y, r, N, M)
+            if N2 is None or N2 in found or (upper and N2[-1] <= 0):
+                continue
+            found[N2] = _contact(Y, r, N2)
+            queue.append((N2, found[N2]))
+    return list(found.items())
 
 
 def approximate_p(f: PLConcave, p: int, q: Optional[int] = None) -> PLConcave:
@@ -365,18 +498,23 @@ def approximate_p(f: PLConcave, p: int, q: Optional[int] = None) -> PLConcave:
     the upper concave envelope. On the grid, 0 <= f_p - f <= 1/p. Envelope
     slopes are not forced into the chamber; out-of-chamber pieces are flagged
     on the returned object rather than raised.
+
+    All of it is integer work: piece_minima gives f = N/S on the whole grid
+    at once, the rounded values are ceil(N p / S) by floor division, and the
+    envelope's facets come from an exact integer hull. Arrays are int64
+    while a bound on every intermediate stays below 2**62 and Python ints
+    (dtype=object) past it, so no step rounds.
     """
     if p < 1:
         raise InconsistentInputs("p must be a positive integer")
     q = 4 * p if q is None else int(q)
     if q < 1:
         raise InconsistentInputs("q must be a positive integer")
-    grid = [tuple(x / q for x in pt) for pt in lattice_points(f.domain, q)]
+    grid = lattice_points(f.domain, q)
     if not grid:
         raise InconsistentInputs("approximation grid is empty")
-    gs = []
-    for x in grid:
-        v = f.eval(x)
-        gs.append(Fraction(math.ceil(v * p), p))
-    pieces = _upper_hull_planes(grid, gs, f.domain.dim)
+    P, dp = int_points(grid, f.domain.dim)
+    n, scale = piece_minima(f.pieces, P, dp * q)
+    g = -((-widen(n, p) * p) // scale)       # ceil(f * p) at each grid point
+    pieces = _upper_hull_planes(P, g, dp * q, p)
     return pl_concave(f.rs, f.domain, pieces, strict=False)

@@ -125,6 +125,34 @@ def test_approx_cli():
     assert doc["audit"]["points_below_f"] == 0
 
 
+def test_filtration_tiny_negative_slope_exit_code():
+    # -1e-10 passed the old float chamber test and printed 21 violations
+    for f in ("linear:-1/10000000000", "pl:0,1;1,-1/10000000000"):
+        code, out, _ = run_cli(["filtration", "--preset", "sl2", "--f", f, "--k", "2"])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] in ("NotDominant", "NotDominantPiece")
+
+
+def test_approx_audit_matches_fraction_recount():
+    from fractions import Fraction
+    from gcdeg import approximate_p, lattice_points
+    from gcdeg.cli import build_from_doc, parse_f
+    f_arg = "pl:-1/2,1/2,1/4;1/4,3/4,1/8;1,5/4,-1/4"
+    p, q = 5, 20
+    code, out, _ = run_cli(["approx", "--preset", "so4-case2", "--f", f_arg, "--p", str(p)])
+    assert code == 0
+    audit = json.loads(out)["audit"]
+    rs, p_plus, _ = build_from_doc(get_preset("so4-case2"))
+    f = parse_f(f_arg, rs, p_plus)
+    fp = approximate_p(f, p, q)
+    gaps = [fp.eval(x) - f.eval(x)
+            for x in (tuple(c / q for c in pt) for pt in lattice_points(p_plus, q))]
+    assert audit["grid_points"] == len(gaps)
+    assert audit["points_below_f"] == sum(1 for g in gaps if g < 0) == 0
+    assert Fraction(audit["max_gap"]["fraction"]) == max([Fraction(0)] + gaps)
+    assert audit["ok"] is True
+
+
 def test_minimize_cli_matches_analyze():
     _, out_m, _ = run_cli(["minimize", "--preset", "so4-case2"])
     _, out_a, _ = run_cli(["analyze", "--preset", "so4-case2"])
