@@ -28,7 +28,7 @@ import numpy as np
 from ._numeric import dot, nullspace, solve_exact, vec_exact
 from .errors import DependentActiveRoots, DivergentMinimizer, NoFaceAccepted
 from .expint import get_engine
-from .polytope import Polytope, _basic_feasible_points
+from .polytope import Polytope, cone_generators
 from .rootsys import RootSystem, dh_density
 
 _EPS = float(np.finfo(float).eps)
@@ -100,48 +100,34 @@ def chamber_rays(rs: RootSystem):
 def coercivity_check(rs: RootSystem, p_plus: Polytope) -> CoercivityReport:
     """Certify max_{y in P+} <d, y - 2rho> > 0 for every chamber d != 0.
 
-    Exact: the failure set {d in chamber : <d, v - 2rho> <= 0 for all
-    vertices v} is a polyhedral cone; it is {0} iff its intersection with a
-    normalizing slice is empty, which is checked by exact basic-solution
-    enumeration over each sign pattern of the central coordinates.
+    Exact: the failure set {d : <alpha_i, d> >= 0, <d, v - 2rho> <= 0 for
+    all vertices v} is a polyhedral cone, generated in one double-description
+    pass; h is coercive iff the cone is {0}. The certificate is the generator
+    whose root coordinates q = (<alpha_i, d>)_i, scaled to sum 1, are
+    lexicographically smallest.
     """
     rays, central = chamber_rays(rs)
     two_rho = vec_exact(rs.two_rho)
     diffs = [tuple(v[i] - two_rho[i] for i in range(rs.dim)) for v in p_plus.vertices]
 
     margins = []
-    directions = [(w, "+") for w in rays]
-    for u in central:
-        directions.append((u, "+"))
-        directions.append((tuple(-x for x in u), "-"))
-    for d, _ in directions:
+    for d in rays + [s for u in central for s in (u, tuple(-x for x in u))]:
         sup = max(float(dot(d, diff)) for diff in diffs)
         margins.append((tuple(float(x) for x in d), sup))
 
-    r = len(rays)
-    c = len(central)
-    nvar = r + c
+    simple = [vec_exact(a) for a in rs.simple_roots]
+    gens, lin = cone_generators(simple + [tuple(-x for x in diff) for diff in diffs])
+    gens += lin + [tuple(-x for x in u) for u in lin]
+
+    def scaled(d):
+        # central directions (q = 0) sort after every other generator
+        s = sum(dot(a, d) for a in simple)
+        d = tuple(Fraction(x, s or 1) for x in d)
+        return s == 0, tuple(dot(a, d) for a in simple), d
+
     certificate = None
-    if nvar == 0:
-        return CoercivityReport(coercive=True, ray_margins=tuple(margins), certificate=None)
-    for signs in itertools.product((1, -1), repeat=c):
-        gens = list(rays) + [tuple(s * x for x in u) for s, u in zip(signs, central)]
-        # Variables q >= 0; direction d = sum q_g gens_g; constraints
-        # <d, v - 2rho> <= 0 and sum q = 1.
-        hs = []
-        for diff in diffs:
-            hs.append((tuple(dot(g, diff) for g in gens), Fraction(0)))
-        for i in range(nvar):
-            hs.append((tuple(Fraction(-int(j == i)) for j in range(nvar)), Fraction(0)))
-        ones = tuple(Fraction(1) for _ in range(nvar))
-        hs.append((ones, Fraction(1)))
-        hs.append((tuple(-x for x in ones), Fraction(-1)))
-        pts = _basic_feasible_points(hs, nvar)
-        if pts:
-            q = pts[0]
-            d = tuple(sum(q[g] * gens[g][i] for g in range(nvar)) for i in range(rs.dim))
-            certificate = tuple(float(x) for x in d)
-            break
+    if gens:
+        certificate = tuple(float(x) for x in min(map(scaled, gens))[2])
     return CoercivityReport(coercive=certificate is None,
                             ray_margins=tuple(margins), certificate=certificate)
 

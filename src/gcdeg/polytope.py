@@ -1,9 +1,13 @@
 """Exact rational polytopes: dual descriptions, triangulation, lattice points.
 
-All geometry is done over Fraction. Halfspaces are pairs (normal, offset)
-meaning <normal, y> <= offset. Vertex enumeration walks dim-subsets of the
-constraints (basic solutions), which is exact and fast at the sizes this
-package targets (dim <= 6, a couple dozen constraints).
+Halfspaces are pairs (normal, offset) of Fractions meaning
+<normal, y> <= offset. Both dual descriptions come from one exact pass of
+Motzkin's double description on primitive integer rows: halfspaces are
+homogenized to the cone {(y, t) : <n, y> <= b t, t >= 0}, whose rays with
+t > 0 are the vertices, and vertices give the cone of valid inequalities
+{(a, beta) : <a, v> <= beta}, whose rays are the facets. Each ray carries
+the rows it makes tight as an int bitmask; redundancy and the faces the
+triangulation recurses over are read off those masks.
 """
 
 import itertools
@@ -63,139 +67,137 @@ class Polytope:
         return isinstance(other, Polytope) and self.vertices == other.vertices
 
 
-def _affine_rank(points: Sequence[Vector]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return mat_rank(rows)
+def _primitive(v: Sequence[int]) -> Tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _basic_feasible_points(halfspaces: Sequence[Halfspace], dim: int) -> List[Vector]:
-    """All feasible basic solutions (extreme point candidates), exact."""
-    pts = {}
-    idxs = range(len(halfspaces))
-    for subset in itertools.combinations(idxs, dim):
-        rows = [list(halfspaces[i][0]) for i in subset]
-        rhs = [halfspaces[i][1] for i in subset]
-        if mat_rank(rows) != dim:
+def _int_row(row: Sequence[Fraction]) -> Tuple[int, ...]:
+    """row times a positive scale, as primitive integers."""
+    d = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (d // x.denominator) for x in row])
+
+
+def _combine(s: int, u: Sequence[int], t: int, w: Sequence[int]) -> Tuple[int, ...]:
+    return _primitive([s * a + t * b for a, b in zip(u, w)])
+
+
+def _double_description(rows: Sequence[Sequence[int]]):
+    """Motzkin's double description of {x in R^m : <a, x> >= 0 for all rows a}.
+
+    rows are integer vectors of length m. Returns (rays, lineality, masks): the extreme
+    rays modulo the lineality space and a basis of that space, as primitive
+    integer tuples, and per ray the bitmask of the rows it makes tight. Rows
+    are added one at a time; two rays on opposite sides of the new row are
+    combined only when they are adjacent, i.e. when no third ray is tight on
+    every row the two share.
+    """
+    m = len(rows[0])
+    lin = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    rays, masks = [], []
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        lv = [dot(a, u) for u in lin]
+        piv = next((i for i, v in enumerate(lv) if v), None)
+        if piv is not None:
+            # a is not constant on the lineality space: its pivot direction
+            # leaves it and becomes a ray, tight on every earlier row.
+            u, s = lin.pop(piv), lv.pop(piv)
+            if s < 0:
+                u, s = tuple(-x for x in u), -s
+            lin = [_combine(s, w, -v, u) for w, v in zip(lin, lv)]
+            rays = [_combine(s, r, -dot(a, r), u) for r in rays] + [u]
+            masks = [mk | bit for mk in masks] + [bit - 1]
             continue
-        x = solve_exact(rows, rhs)
-        if x is None:
-            continue
-        if all(dot(n, x) <= b for n, b in halfspaces):
-            pts[x] = True
-    return sorted(pts)
+        rv = [dot(a, r) for r in rays]
+        need = m - len(lin) - 2          # adjacent rays share this many tight rows
+        new_rays = [r for r, v in zip(rays, rv) if v >= 0]
+        new_masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, rv) if v >= 0]
+        for i, vi in enumerate(rv):
+            if vi <= 0:
+                continue
+            for j, vj in enumerate(rv):
+                if vj >= 0:
+                    continue
+                common = masks[i] & masks[j]
+                if common.bit_count() < need or any(
+                        mk & common == common for t, mk in enumerate(masks) if t != i and t != j):
+                    continue
+                new_rays.append(_combine(vi, rays[j], -vj, rays[i]))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays, lin, masks
 
 
-def _recession_nonzero(halfspaces: Sequence[Halfspace], dim: int) -> bool:
-    """True when {d : <n,d> <= 0 for all halfspaces} contains a nonzero vector."""
-    hs = [(n, Fraction(0)) for n, _ in halfspaces]
-    box = []
-    for i in range(dim):
-        e = tuple(Fraction(int(i == j)) for j in range(dim))
-        box.append((e, Fraction(1)))
-        box.append((tuple(-x for x in e), Fraction(1)))
-    pts = _basic_feasible_points(list(hs) + box, dim)
-    zero = tuple([Fraction(0)] * dim)
-    return any(p != zero for p in pts)
+def cone_generators(rows: Sequence[Sequence]) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+    """Extreme rays and a lineality basis of {x : <a, x> >= 0 for all rows a}.
+
+    rows hold ints, Fractions or exact strings, all of one length; the
+    generators are primitive integer vectors.
+    """
+    rays, lin, _ = _double_description([_int_row(vec_exact(a)) for a in rows])
+    return rays, lin
 
 
-def _hull_halfspaces(vertices: Sequence[Vector], dim: int) -> List[Halfspace]:
-    """Facet description of conv(vertices), exact, by hyperplane enumeration."""
-    if dim == 1:
-        lo = min(v[0] for v in vertices)
-        hi = max(v[0] for v in vertices)
-        return [((Fraction(1),), hi), ((Fraction(-1),), -lo)]
-    found = {}
-    for subset in itertools.combinations(range(len(vertices)), dim):
-        pts = [vertices[i] for i in subset]
-        if _affine_rank(pts) != dim - 1:
-            continue
-        # Hyperplane through pts: normal spans the 1-D nullspace of the
-        # difference matrix.
-        base = pts[0]
-        rows = [[p[i] - base[i] for i in range(dim)] for p in pts[1:]]
-        from ._numeric import nullspace
-        ns = nullspace(rows, dim)
-        if len(ns) != 1:
-            continue
-        n = ns[0]
-        b = dot(n, base)
-        side_hi = any(dot(n, v) > b for v in vertices)
-        side_lo = any(dot(n, v) < b for v in vertices)
-        if side_hi and side_lo:
-            continue
-        if side_hi:       # flip outward
-            n = tuple(-x for x in n)
-            b = -b
-        n, b = _normalize_halfspace(n, b)
-        found[(n, b)] = True
-    return sorted(found)
+def _check_dims(vectors: Sequence[Vector], what: str) -> int:
+    if not vectors:
+        raise InconsistentInputs(f"empty list of {what}")
+    if len({len(v) for v in vectors}) != 1:
+        raise InconsistentInputs(f"ragged {what}")
+    return len(vectors[0])
 
 
-def _normalize_halfspace(n: Vector, b: Fraction) -> Halfspace:
-    """Scale so the normal has coprime integer entries (sign preserved)."""
-    den = lcm(*(c.denominator for c in n))
-    g = gcd(*((c * den).numerator for c in n))
-    if g:
-        scale = Fraction(den, g)
-        return tuple(c * scale for c in n), b * scale
-    return n, b
+def _facet_halfspaces(vertices: Sequence[Vector], dim: int) -> List[Halfspace]:
+    """Facets of conv(vertices): the rays of the cone of valid inequalities
+    {(a, beta) : <a, v> <= beta for all v}, with coprime integer normals."""
+    rays, lin, _ = _double_description(
+        [_int_row(tuple(-x for x in v) + (Fraction(1),)) for v in vertices])
+    if lin:
+        raise LowerDimensional("vertex set is not full-dimensional")
+    out = []
+    for r in rays:
+        g = gcd(*r[:-1])
+        out.append((tuple(Fraction(x // g) for x in r[:-1]), Fraction(r[-1], g)))
+    # A segment lists its upper bound first.
+    return sorted(out, reverse=dim == 1)
 
 
 def try_build(halfspaces: Sequence[Tuple[Sequence, object]]) -> Tuple[str, Optional[Polytope]]:
     """Build from halfspaces without raising.
 
     Returns (status, polytope-or-None) with status in
-    {"ok", "empty", "lower-dimensional", "unbounded"}.
+    {"ok", "empty", "lower-dimensional", "unbounded"}. The vertices are the
+    rays with t > 0 of the cone {(y, t) : <n, y> <= b t, t >= 0}; the set is
+    empty without such a ray and unbounded with a ray at t = 0 or a
+    lineality direction.
     """
     hs = [(vec_exact(n), to_exact(b)) for n, b in halfspaces]
-    dim = len(hs[0][0])
-    for n, _ in hs:
-        if len(n) != dim:
-            raise InconsistentInputs("ragged halfspace normals")
-    if _recession_nonzero(hs, dim):
-        # Distinguish empty from unbounded: an empty set is bounded by
-        # convention but has no feasible point at all.
-        if not _basic_feasible_points(hs + _unit_box(dim, hs), dim):
-            return "empty", None
-        return "unbounded", None
-    verts = _basic_feasible_points(hs, dim)
-    if not verts:
+    dim = _check_dims([n for n, _ in hs], "halfspaces")
+    rows = [_int_row(tuple(-x for x in n) + (b,)) for n, b in hs]
+    rays, lin, masks = _double_description(rows + [(0,) * dim + (1,)])
+    found = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), mk)
+                   for r, mk in zip(rays, masks) if r[-1] > 0)
+    if not found:
         return "empty", None
-    if _affine_rank(verts) < dim:
+    if lin or len(found) < len(rays):
+        return "unbounded", None
+    # tight[i]: bitmask of the vertices on halfspace i
+    tight = [sum(1 << j for j, (_, mk) in enumerate(found) if mk >> i & 1)
+             for i in range(len(hs))]
+    everywhere = (1 << len(found)) - 1
+    if any(t == everywhere and any(n) for t, (n, _) in zip(tight, hs)):
         return "lower-dimensional", None
-    redundant = _find_redundant(hs, verts, dim)
-    return "ok", Polytope(dim=dim, vertices=tuple(verts), halfspaces=tuple(hs),
-                          redundant=tuple(redundant))
-
-
-def _unit_box(dim, hs):
-    # Large box around anything representable by the offsets, used only for
-    # the empty-vs-unbounded distinction.
-    big = sum(abs(b) for _, b in hs) + 1
-    out = []
-    for i in range(dim):
-        e = tuple(Fraction(int(i == j)) for j in range(dim))
-        out.append((e, big))
-        out.append((tuple(-x for x in e), big))
-    return out
-
-
-def _find_redundant(hs, verts, dim) -> List[int]:
-    """A halfspace is a facet iff its tight vertex set has affine rank dim-1
-    and no earlier facet is the same halfspace up to positive scaling."""
-    out = []
-    seen = set()
-    for idx, (n, b) in enumerate(hs):
-        tight = [v for v in verts if dot(n, v) == b]
-        key = _normalize_halfspace(n, b)
-        if not tight or _affine_rank(tight) != dim - 1 or key in seen:
-            out.append(idx)
+    # A facet's mask is a maximal proper one; later copies are redundant.
+    proper = {t for t in tight if 0 < t < everywhere}
+    facets = {t for t in proper if not any(u != t and u & t == t for u in proper)}
+    redundant = []
+    for idx, t in enumerate(tight):
+        if t in facets:
+            facets.discard(t)
         else:
-            seen.add(key)
-    return out
+            redundant.append(idx)
+    return "ok", Polytope(dim=dim, vertices=tuple(v for v, _ in found), halfspaces=tuple(hs),
+                          redundant=tuple(redundant))
 
 
 def build_polytope(halfspaces: Optional[Sequence] = None,
@@ -219,20 +221,15 @@ def build_polytope(halfspaces: Optional[Sequence] = None,
 
     if vertices is not None:
         vs = [vec_exact(v) for v in vertices]
-        if len({len(v) for v in vs}) != 1:
-            raise InconsistentInputs("ragged vertices")
-        dim = len(vs[0])
-        if _affine_rank(vs) < dim:
-            raise LowerDimensional("vertex set is not full-dimensional")
-        hs = _hull_halfspaces(vs, dim)
+        hs = _facet_halfspaces(vs, _check_dims(vs, "vertices"))
     else:
         hs = [(vec_exact(n), to_exact(b)) for n, b in halfspaces]
-        dim = len(hs[0][0])
+        _check_dims([n for n, _ in hs], "halfspaces")
 
     if append_chamber:
         for a in rs.simple_roots:
-            n, b = _normalize_halfspace(tuple(-to_exact(x) for x in a), Fraction(0))
-            hs.append((n, b))
+            n = _int_row(tuple(-to_exact(x) for x in a))
+            hs.append((tuple(map(Fraction, n)), Fraction(0)))
 
     status, p = try_build(hs)
     if status == "empty":
@@ -279,92 +276,31 @@ def _det_exact(rows) -> Fraction:
 
 
 def triangulate(p: Polytope) -> List[Tuple[Vector, ...]]:
-    """Fan triangulation from the lexicographically smallest vertex.
+    """Pulling triangulation from the lexicographically smallest vertex.
 
-    Deterministic: facets and their sub-simplices are visited in sorted
-    order. Every returned simplex is full-dimensional.
+    Each face is coned from its smallest vertex over its own facets that
+    miss that vertex, recursively. Faces are vertex bitmasks: the facets of
+    a face are among its intersections with the facets of p, taken in
+    sorted halfspace order. Every returned simplex is full-dimensional.
     """
-    return _triangulate_points(list(p.vertices), p.dim, [h for h, _ in p.facets()])
+    facets = [sum(1 << i for i in tight) for _, tight in sorted(p.facets())]
+    return [tuple(p.vertices[i] for i in s)
+            for s in _pull((1 << len(p.vertices)) - 1, p.dim, facets)]
 
 
-def _triangulate_points(verts: List[Vector], dim: int,
-                        facets: List[Halfspace]) -> List[Tuple[Vector, ...]]:
-    verts = sorted(verts)
-    apex = verts[0]
-    if dim == 1:
-        return [(verts[0], verts[-1])]
-    out = []
-    for n, b in sorted(facets):
-        if dot(n, apex) == b:
-            continue  # apex lies on this facet; cone over it is flat
-        fverts = [v for v in verts if dot(n, v) == b]
-        for sub in _triangulate_facet(fverts, dim):
-            simplex = (apex,) + sub
-            if _simplex_volume(simplex) > 0:
-                out.append(simplex)
+def _pull(face: int, dim: int, facets: List[int]) -> List[Tuple[int, ...]]:
+    apex = (face & -face).bit_length() - 1
+    if dim == 0:
+        return [(apex,)]
+    out, seen = [], set()
+    for f in facets:
+        # A face of `face` that misses the apex. One below a facet of `face`
+        # shrinks to a single vertex before dim reaches 0 and adds nothing.
+        g = face & f
+        if g and not g >> apex & 1 and g not in seen:
+            seen.add(g)
+            out.extend((apex,) + s for s in _pull(g, dim - 1, facets))
     return out
-
-
-def _triangulate_facet(fverts: List[Vector], dim: int) -> List[Tuple[Vector, ...]]:
-    """Triangulate a (dim-1)-face embedded in R^dim into (dim-1)-simplices."""
-    fverts = sorted(fverts)
-    if dim == 2:
-        # Facet is a segment (or should be); take its extreme points.
-        lo, hi = fverts[0], fverts[-1]
-        return [(lo, hi)]
-    if dim == 3:
-        # Polygonal facet: order vertices around their plane and fan.
-        ordered = _order_polygon(fverts)
-        a = ordered[0]
-        return [(a, ordered[i], ordered[i + 1]) for i in range(1, len(ordered) - 1)]
-    # Higher dimensions: chart the facet into R^(dim-1) exactly, triangulate
-    # there, and map the simplices back.
-    base = fverts[0]
-    diffs = [tuple(v[i] - base[i] for i in range(dim)) for v in fverts[1:]]
-    basis = []
-    for d in diffs:
-        if mat_rank(basis + [d]) > len(basis):
-            basis.append(d)
-        if len(basis) == dim - 1:
-            break
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    chart = {}
-    for v in fverts:
-        rel = tuple(v[i] - base[i] for i in range(dim))
-        rhs = [dot(b, rel) for b in basis]
-        coords = solve_exact(gram, rhs)
-        chart[coords] = v
-    cverts = sorted(chart)
-    sub_hs = _hull_halfspaces(cverts, dim - 1)
-    out = []
-    for s in _triangulate_points(cverts, dim - 1, sub_hs):
-        out.append(tuple(chart[c] for c in s))
-    return out
-
-
-def _order_polygon(pts: List[Vector]) -> List[Vector]:
-    import math
-    base = pts[0]
-    # Two independent directions in the plane of the polygon.
-    dirs = [tuple(p[i] - base[i] for i in range(len(base))) for p in pts[1:]]
-    u = next(d for d in dirs if any(x != 0 for x in d))
-    # Gram-Schmidt a second direction.
-    v = None
-    for d in dirs:
-        proj = dot(d, u) / dot(u, u)
-        w = tuple(d[i] - proj * u[i] for i in range(len(d)))
-        if any(x != 0 for x in w):
-            v = w
-            break
-    if v is None:
-        return sorted(pts)
-    cen = tuple(sum(p[i] for p in pts) / len(pts) for i in range(len(base)))
-
-    def angle(p):
-        rel = tuple(p[i] - cen[i] for i in range(len(p)))
-        return math.atan2(float(dot(rel, v)), float(dot(rel, u)))
-
-    return sorted(pts, key=angle)
 
 
 # -- lattice points ----------------------------------------------------------

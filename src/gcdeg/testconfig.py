@@ -227,8 +227,13 @@ def table_from_values(rs: RootSystem, p_plus: Polytope, k: int,
     if len(values) != len(pts):
         raise InconsistentInputs(
             f"expected {len(pts)} values for k={k}, got {len(values)}")
-    rational = all(is_exact_input(v) for v in values)
-    vals = tuple(to_exact(v) for v in values)
+    return _table(rs, k, pts, tuple(to_exact(v) for v in values),
+                  all(is_exact_input(v) for v in values))
+
+
+def _table(rs: RootSystem, k: int, pts: Tuple, vals: Tuple[Fraction, ...],
+           rational: bool) -> FiltrationTable:
+    """Table of exact values whose source data is rational or not."""
     gamma_u = tuple(sorted(set(vals)))
     top = max(gamma_u) if gamma_u else Fraction(0)
     gamma_s = tuple(v - top for v in gamma_u)
@@ -252,7 +257,7 @@ def filtration_table(f: PLConcave, k: int,
     P, dp = int_points(pts, f.domain.dim)
     n, scale = piece_minima(f.pieces, P, dp * k)
     vals = tuple(Fraction(k * v, scale) for v in n.tolist())
-    return table_from_values(f.rs, f.domain, k, vals, points=pts)
+    return _table(f.rs, k, pts, vals, f.rational)
 
 
 def check_superadditive(t1: FiltrationTable, t2: FiltrationTable,

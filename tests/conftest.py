@@ -18,7 +18,11 @@ from typing import Callable
 
 import pytest
 
+import gcdeg.hfun
+import gcdeg.polytope
+import polytope_oracle
 from gcdeg import RootSystemSpec, build_polytope, build_root_system
+from gcdeg._numeric import to_exact, vec_exact
 from gcdeg.cli import main
 
 # Wall minimizer of the quadrilateral case: root of <x> = 2 for the exact
@@ -47,6 +51,40 @@ TEXT_QUAD_HALFSPACES = [
     ([0, -1], 2),
     ([1, -1], 3),
 ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def polytope_oracle_check():
+    """Every polytope a test builds, from halfspaces or from vertices, is
+    checked against the subset-enumeration oracle (polytope_oracle.py);
+    each distinct input once."""
+    seen = set()
+    build, hull = gcdeg.polytope.try_build, gcdeg.polytope._facet_halfspaces
+
+    def once(key, check, *args):
+        if key not in seen:
+            seen.add(key)
+            check(*args)
+
+    def checked_build(halfspaces):
+        status, p = build(halfspaces)
+        key = tuple((vec_exact(n), to_exact(b)) for n, b in halfspaces)
+        once(key, polytope_oracle.check_build, key, status, p)
+        return status, p
+
+    def checked_hull(vertices, dim):
+        hs = None          # stays None when the hull raises LowerDimensional
+        try:
+            hs = hull(vertices, dim)
+            return hs
+        finally:
+            once((tuple(vertices), dim), polytope_oracle.check_hull, vertices, dim, hs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (gcdeg.polytope, gcdeg.hfun):
+            mp.setattr(module, "try_build", checked_build)
+        mp.setattr(gcdeg.polytope, "_facet_halfspaces", checked_hull)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,54 @@ def test_geometry_error_exit_code(tmp_path):
     assert json.loads(out)["error"]["type"] == "Empty"
 
 
+def test_unbounded_input_exit_code(tmp_path):
+    # nonempty and unbounded (it contains (3, 1)); once reported as Empty
+    doc = tmp_path / "unbounded.json"
+    doc.write_text(json.dumps({
+        "root_system": {"catalog": "A1xA1"},
+        "polytope": {"inequalities": [{"normal": [0, -1], "offset": -1},
+                                      {"normal": [-1, 3], "offset": 0}]},
+    }))
+    for fmt in ("json", "text"):
+        code, out, _ = run_cli(["analyze", "--input", str(doc), "--format", fmt])
+        assert code == 3
+        assert "Unbounded" in out and "Empty" not in out
+    assert json.loads(run_cli(["analyze", "--input", str(doc)])[1])["error"]["type"] == "Unbounded"
+
+
+@pytest.mark.parametrize("key", ["inequalities", "vertices"])
+def test_empty_polytope_list_exit_code(tmp_path, key):
+    doc = tmp_path / "empty-list.json"
+    doc.write_text(json.dumps({"root_system": {"catalog": "A1"}, "polytope": {key: []}}))
+    code, out, _ = run_cli(["analyze", "--input", str(doc)])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InconsistentInputs"
+    assert err["message"] == "empty list of " + {"inequalities": "halfspaces"}.get(key, key)
+
+
+def test_filtration_decimal_slope_is_exact():
+    # "0.33" on the command line is the exact rational 33/100
+    _, out_h, _ = run_cli(["h-eval", "--preset", "so4-case1", "--f", "linear:0.33,0.25"])
+    code, out, _ = run_cli(["filtration", "--preset", "so4-case1",
+                            "--f", "linear:0.33,0.25", "--k", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert json.loads(out_h)["f"]["rational"] is doc["rational"] is True
+    assert doc["gamma_rank_mode"] == "exact"
+
+
+def test_central_rank_divergent_exit_code(tmp_path):
+    doc = tmp_path / "central.json"
+    doc.write_text(json.dumps({
+        "root_system": {"catalog": "A1", "central_rank": 1},
+        "polytope": {"vertices": [[0, 1], [3, 1], [0, 2], [3, 2]]},
+    }))
+    code, out, _ = run_cli(["analyze", "--input", str(doc)])
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "DivergentMinimizer"
+
+
 def test_h_eval_zero_normalization():
     code, out, _ = run_cli(["h-eval", "--preset", "so4-case1",
                             "--f", "linear:0,0"])

@@ -97,6 +97,20 @@ def test_coercivity_reports(rs_so4, case1_poly, text_quad):
     assert not bad.coercive and bad.certificate is not None
 
 
+def test_coercivity_central_rank_certificate():
+    # the box lies above y = 0, so h decreases along the central direction
+    rs = build_root_system(RootSystemSpec(catalog="A1", central_rank=1))
+    box = build_polytope(vertices=[[0, 1], [3, 1], [0, 2], [3, 2]])
+    rep = coercivity_check(rs, box)
+    assert not rep.coercive
+    d = vec_exact(rep.certificate)
+    assert any(d)
+    assert sum(a * x for a, x in zip(vec_exact(rs.simple_roots[0]), d)) >= 0
+    two_rho = vec_exact(rs.two_rho)
+    assert max(sum(x * (v[i] - two_rho[i]) for i, x in enumerate(d))
+               for v in box.vertices) <= 0
+
+
 def test_kkt_dependent_roots(rs_so4):
     with pytest.raises(DependentActiveRoots):
         kkt_multipliers(rs_so4, (2.5, 0.5), [0, 0])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gcdeg import (Empty, GeometryError, LowerDimensional, Polytope,
-                   Unbounded, build_polytope, lattice_points, triangulate,
-                   try_build)
+from gcdeg import (Empty, GeometryError, InconsistentInputs, LowerDimensional,
+                   Polytope, Unbounded, build_polytope, lattice_points,
+                   triangulate, try_build)
 
 coords = st.integers(min_value=-6, max_value=6)
 points2 = st.lists(st.tuples(coords, coords), min_size=3, max_size=8)
@@ -61,8 +61,29 @@ def test_empty_unbounded_lowdim():
 def test_try_build_statuses():
     assert try_build([((1,), 0), ((-1,), -1)])[0] == "empty"
     assert try_build([((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)])[0] == "unbounded"
+    # the segment x = 1, 0 <= y <= 1
+    assert try_build([((1, 0), 1), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])[0] \
+        == "lower-dimensional"
     st_, p = try_build([((1,), 2), ((-1,), 0)])
     assert st_ == "ok" and p.vertices == ((Fraction(0),), (Fraction(2),))
+
+
+def test_unbounded_set_far_from_offsets_is_not_empty():
+    # y >= 1 and x >= 3y: the feasible point (3, 1) lies outside the box of
+    # side sum|b| + 1 = 2 that once decided emptiness
+    hs = [((0, -1), -1), ((-1, 3), 0)]
+    assert try_build(hs) == ("unbounded", None)
+    assert all(sum(a * b for a, b in zip(n, (3, 1))) <= b for n, b in hs)
+    with pytest.raises(Unbounded):
+        build_polytope(halfspaces=hs)
+
+
+def test_empty_lists_are_inconsistent():
+    for kw in ({"halfspaces": []}, {"vertices": []}):
+        with pytest.raises(InconsistentInputs, match="empty list"):
+            build_polytope(**kw)
+    with pytest.raises(InconsistentInputs, match="empty list"):
+        try_build([])
 
 
 def test_contains_boundary(case1_poly):

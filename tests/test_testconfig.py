@@ -71,6 +71,22 @@ def test_gamma_rank_modes(rs_a1, seg3):
     assert irr.gamma_rank == 2 and irr.gamma_rank_mode == "numeric"
 
 
+def test_float_slope_table_is_not_rational(rs_so4, case1_poly):
+    # the values are exact Fractions of the binary slopes, but the datum is not
+    f = from_vector(rs_so4, case1_poly, [0.33, 0.25])
+    assert not f.rational
+    t = filtration_table(f, 4)
+    assert not t.rational and t.gamma_rank_mode == "numeric"
+
+
+@pytest.mark.parametrize("slope", [(Fraction(1, 3), Fraction(1, 4)), ("33/100", "1/4")])
+def test_exact_slope_table_equals_table_from_values(rs_so4, case1_poly, slope):
+    f = from_vector(rs_so4, case1_poly, slope)
+    t = filtration_table(f, 4)
+    assert t.rational and t.gamma_rank_mode == "exact"
+    assert t == table_from_values(rs_so4, case1_poly, 4, t.values, points=t.points)
+
+
 def test_semivaluation_min_rule(rs_a1, seg3):
     f = from_vector(rs_a1, seg3, [Fraction(1, 2)])
     sigma = WeightedElement.of([((1,), 1), ((4,), 2)])
