@@ -60,23 +60,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def kahan_sum(values: Iterable[float]) -> Tuple[float, float]:
-    """Compensated sum. Returns (total, max_abs_partial) for cancellation checks."""
-    total = 0.0
-    comp = 0.0
-    peak = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(total) > peak:
-            peak = abs(total)
-        if abs(v) > peak:
-            peak = abs(v)
-    return total, peak
-
-
 # -- exact rational linear algebra (small systems only) ---------------------
 
 def mat_rref(rows: Sequence[Sequence[Fraction]]):
@@ -129,6 +112,26 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
             v[pc] = -rr[ri][fc]
         basis.append(tuple(v))
     return basis
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every intermediate is an exact minor."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):

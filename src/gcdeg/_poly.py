@@ -2,8 +2,8 @@
 
 Exponent keys are tuples of nonnegative ints; coefficients are Fractions
 (floats are converted exactly on input). Supports the operations needed by
-the Duistermaat-Heckman density and the simplex integrator: ring arithmetic,
-affine precomposition, and evaluation (exact or via numpy on arrays).
+the Duistermaat-Heckman density and the simplex integrator: ring arithmetic
+and evaluation (exact or via numpy on arrays).
 """
 
 from fractions import Fraction
@@ -120,32 +120,6 @@ class Polynomial:
                 if e:
                     term = term * pts[:, i] ** e
             out += term
-        return out
-
-    def compose_affine(self, matrix: Sequence[Sequence], offset: Sequence) -> "Polynomial":
-        """p(Ax + b) where A maps the new variables to the old ones.
-
-        matrix rows are indexed by old coordinates, columns by new variables.
-        """
-        nrows = len(matrix)
-        if nrows != self.dim:
-            raise ValueError("matrix rows must match polynomial dimension")
-        newdim = len(matrix[0]) if nrows else 0
-        subs = [
-            Polynomial.linear_form([to_exact(a) for a in row], to_exact(b))
-            for row, b in zip(matrix, offset)
-        ]
-        for s in subs:
-            if s.dim != newdim:
-                raise ValueError("ragged matrix")
-        out = Polynomial.constant(newdim, 0)
-        # Horner-free expansion; degrees stay small in practice.
-        for mono, c in self.terms.items():
-            term = Polynomial.constant(newdim, c)
-            for s, e in zip(subs, mono):
-                if e:
-                    term = term * s.pow(e)
-            out = out + term
         return out
 
     # -- identity / display --

@@ -15,15 +15,15 @@ Sums over simplices and monomials run in a fixed order with compensated
 accumulation, so results are bit-reproducible.
 """
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import kahan_sum, vec_exact
+from ._numeric import int_det, scaled_ints, vec_exact
 from ._poly import Polynomial
 from .errors import DegenerateSimplex, DegreeCapExceeded, InconsistentInputs, PrecisionLoss
 from .polytope import Polytope, triangulate
@@ -85,184 +85,257 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     return R
 
 
-def _opitz_matrix(nodes: Sequence[float]) -> np.ndarray:
-    m = len(nodes)
-    J = np.diag(np.asarray(nodes, dtype=float))
-    for i in range(m - 1):
-        J[i, i + 1] = 1.0
-    return J
+def _dd_exp_many(nodes: np.ndarray) -> np.ndarray:
+    """exp[d_0, ..., d_{m-1}] for every row of an (n, m) array of nodes: the
+    corner entry of the matrix exponential of each row's bidiagonal Opitz
+    matrix, all n through one `_expm_stack`."""
+    n, m = nodes.shape
+    if m == 1:
+        return np.exp(nodes[:, 0])
+    J = np.zeros((n, m, m))
+    r = np.arange(m)
+    J[:, r, r] = nodes
+    J[:, r[:-1], r[1:]] = 1.0
+    return _expm_stack(J)[:, 0, m - 1]
 
 
-def _dd_exp_many(node_lists: List[Tuple[float, ...]]) -> List[float]:
-    """Divided differences for many node multisets, batched by length."""
-    out = [0.0] * len(node_lists)
-    by_len: Dict[int, List[int]] = {}
-    for i, nodes in enumerate(node_lists):
-        by_len.setdefault(len(nodes), []).append(i)
-    for m, idxs in sorted(by_len.items()):
-        if m == 1:
-            for i in idxs:
-                out[i] = float(np.exp(node_lists[i][0]))
-            continue
-        stack = np.stack([_opitz_matrix(node_lists[i]) for i in idxs])
-        vals = _expm_stack(stack)[:, 0, m - 1]
-        for j, i in enumerate(idxs):
-            out[i] = float(vals[j])
-    return out
+def _kahan(parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Compensated sums along axis 0, term by term in order, and every
+    running total: the scalar Kahan loop run on whole arrays."""
+    total = np.zeros(parts.shape[1:])
+    comp = np.zeros(parts.shape[1:])
+    running = np.empty_like(parts)
+    for k, v in enumerate(parts):
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = running[k] = t
+    return total, running
 
 
-def _simplex_chart(simplex) -> Tuple[tuple, list, Fraction]:
-    """Affine chart y = v0 + B x with B columns the edge vectors; exact."""
+def _simplex_chart(simplex) -> Tuple[List[int], List[List[int]], int, int]:
+    """Affine chart y = (V + M x) / d of a simplex on integers, with M's
+    columns the edge vectors, and det M (exact)."""
     verts = [vec_exact(v) for v in simplex]
     dim = len(verts[0])
     if len(verts) != dim + 1:
         raise InconsistentInputs("simplex needs dim+1 vertices")
-    v0 = verts[0]
-    B = [[verts[j + 1][i] - v0[i] for j in range(dim)] for i in range(dim)]
-    from ._numeric import mat_rank
-    if mat_rank(B) != dim:
+    rows, d = scaled_ints(verts)
+    V = rows[0]
+    M = [[rows[j + 1][i] - V[i] for j in range(dim)] for i in range(dim)]
+    det = int_det(M)
+    if det == 0:
         raise DegenerateSimplex("simplex has zero volume")
-    from .polytope import _det_exact
-    det = _det_exact(B)
-    return v0, B, det
+    return V, M, d, det
 
 
-def _pullback_monomials(p: Polynomial, v0, B) -> Dict[Tuple[int, ...], float]:
-    q = p.compose_affine(B, v0)
-    return {mono: float(c) for mono, c in sorted(q.terms.items())}
+def _pullback(pi: Polynomial, V, M, d: int, radix: List[int]) -> Tuple[List[int], List[float]]:
+    """pi((V + M x) / d): the monomials of x with nonzero coefficient, as
+    sorted keys sum_j e_j radix_j (radix is mixed-radix in a base above
+    deg pi, so key order is lexicographic exponent order), and their
+    coefficients rounded to doubles.
+
+    Horner in each old coordinate runs on Python-int polynomials. A term of
+    degree k is scaled by d^(deg - k), so the result is exact over the one
+    denominator e * d^deg (e clears pi's denominators)."""
+    dim, deg = pi.dim, pi.degree()
+    if not pi.terms:
+        return [], []
+    lin = [[(s, a) for s, a in zip([0] + radix, [V[i]] + M[i]) if a] for i in range(dim)]
+    e = lcm(*(c.denominator for c in pi.terms.values()))
+
+    def horner(terms, i, budget):
+        if i == dim:
+            return {0: terms[()] * d ** budget}
+        by_power: Dict[int, dict] = {}
+        for mono, c in terms.items():
+            by_power.setdefault(mono[0], {})[mono[1:]] = c
+        acc: Dict[int, int] = {}
+        for k in range(max(by_power), -1, -1):
+            if acc:
+                prod: Dict[int, int] = {}
+                for s, a in lin[i]:
+                    for key, c in acc.items():
+                        prod[key + s] = prod.get(key + s, 0) + a * c
+                acc = prod
+            if k in by_power:
+                for key, c in horner(by_power[k], i + 1, budget - k).items():
+                    acc[key] = acc.get(key, 0) + c
+        return acc
+
+    ints = {mono: c.numerator * (e // c.denominator) for mono, c in pi.terms.items()}
+    q = sorted((key, c) for key, c in horner(ints, 0, deg).items() if c)
+    den = e * d ** deg
+    return [key for key, _ in q], [c / den for _, c in q]
 
 
 # -- cached per-polytope moment machinery ------------------------------------
 
-class _SimplexBlock:
-    __slots__ = ("v0f", "Bf", "absdet", "mono")
+# NumPy flags what Python floats do silently; the array pass keeps the
+# silence of the scalar arithmetic it replaces.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+_FACTORIALS = np.array([float(factorial(k)) for k in range(DEGREE_CAP + 3)])
 
-    def __init__(self, simplex, pi: Polynomial):
-        v0, B, det = _simplex_chart(simplex)
-        self.v0f = tuple(float(x) for x in v0)
-        self.Bf = tuple(tuple(float(B[i][j]) for j in range(len(v0))) for i in range(len(v0)))
-        self.absdet = abs(float(det))
-        self.mono = _pullback_monomials(pi, v0, B)
 
-    def c_of(self, lamf) -> Tuple[float, ...]:
-        dim = len(self.v0f)
-        return tuple(sum(self.Bf[i][j] * lamf[i] for i in range(dim)) for j in range(dim))
+@lru_cache(maxsize=None)
+def _gammas(dim: int, orders: int) -> np.ndarray:
+    """Exponent shifts of the moment components: 0, then e_k for order 1,
+    then e_k + e_l (k <= l) for order 2."""
+    eye = np.eye(dim, dtype=np.int64)
+    rows = [np.zeros((1, dim), dtype=np.int64)]
+    if orders >= 1:
+        rows.append(eye)
+    if orders >= 2:
+        k, l = np.triu_indices(dim)
+        rows.append(eye[k] + eye[l])
+    out = np.vstack(rows)
+    out.flags.writeable = False    # shared by every caller of the cache
+    return out
+
+
+class _Plan:
+    """Everything about one moment order that does not depend on lam.
+
+    The integrals I(beta + gamma), one per block and distinct exponent, are
+    numbered in block order and, within a block, in sorted exponent order.
+    Each is prod idx_k! times a divided difference of exp at the nodes 0,
+    c_1 (idx_1 + 1 times), ..., c_n (idx_n + 1 times). `groups` gathers the
+    nodes of each node count from the flattened (block, [0, c, shift]) array
+    of a call, in that numbering. `slot[t, b, g]` is the integral that the
+    t-th monomial of block b needs for gamma_g; blocks with fewer monomials
+    are padded at the front with zero terms, which leave a Kahan sum as it
+    is.
+    """
+
+    def __init__(self, eng: "MomentEngine", orders: int):
+        dim, base = eng.dim, eng.base
+        shifts = _gammas(dim, orders) @ eng.radix
+        key = (eng.mono_key[:, None] + shifts).ravel()
+        # the distinct keys in sorted order, and the rank of each key
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        inv = np.empty_like(order)
+        inv[order] = np.cumsum(new) - 1
+        block, rest = np.divmod(ranked[new], base ** dim)
+        idx = rest[:, None] // eng.radix % base
+        self.count = len(idx)
+        # node p is c_j for start_j <= p < start_{j+1}, and 0 below start_1
+        starts = np.cumsum(idx + 1, axis=1) - idx
+        size = 1 + dim + idx.sum(axis=1)
+        self.groups = []
+        for m in sorted(set(size.tolist())):
+            sel = np.flatnonzero(size == m)
+            pattern = (np.arange(m)[:, None] >= starts[sel, None, :]).sum(axis=2)
+            self.groups.append((sel, block[sel, None] * (dim + 2) + pattern))
+        self.weights = np.ones((dim, self.count + 1))
+        self.weights[:, :-1] = _FACTORIALS[idx].T
+        self.slot = np.full(eng.coef.shape + (len(shifts),), self.count)
+        self.slot[eng.mono_pos, eng.mono_block] = inv.reshape(-1, len(shifts))
 
 
 class MomentEngine:
-    """Caches the pullbacks of pi to a list of simplices that tile a region."""
+    """Moments of pi e^{<lam, y>} over a list of simplices that tile a region.
+
+    The build pulls pi back to every simplex chart. The first call at each
+    order builds that order's plan; every call is then one pass over arrays,
+    with the same sums, in the same order, as a block-by-block scalar loop.
+    """
 
     def __init__(self, simplices: Sequence, pi: Polynomial):
         if pi.degree() > DEGREE_CAP:
             raise DegreeCapExceeded(f"degree {pi.degree()} exceeds cap {DEGREE_CAP}")
         if any(len(v) != pi.dim for s in simplices for v in s):
             raise InconsistentInputs("density dimension mismatch")
-        self.dim = pi.dim
-        self.blocks = [_SimplexBlock(s, pi) for s in simplices]
-
-    def _needed_indices(self, blk: _SimplexBlock, orders: int):
-        dim = self.dim
-        gammas = [tuple([0] * dim)]
-        if orders >= 1:
-            for k in range(dim):
-                g = [0] * dim
-                g[k] = 1
-                gammas.append(tuple(g))
-        if orders >= 2:
-            for k in range(dim):
-                for l in range(k, dim):
-                    g = [0] * dim
-                    g[k] += 1
-                    g[l] += 1
-                    gammas.append(tuple(g))
-        needed = set()
-        for beta in blk.mono:
-            for g in gammas:
-                needed.add(tuple(b + gg for b, gg in zip(beta, g)))
-        return sorted(needed)
-
-    def _all_integrals(self, lamf, orders: int):
-        """I(beta+gamma) per simplex, with the dd's batched across blocks."""
-        per_block = []
-        node_lists = []
-        slots = []
-        for bi, blk in enumerate(self.blocks):
-            c = blk.c_of(lamf)
-            needed = self._needed_indices(blk, orders)
-            per_block.append({})
-            for idx in needed:
-                nodes = [0.0]
-                for ci, mult in zip(c, idx):
-                    nodes.extend([float(ci)] * (mult + 1))
-                node_lists.append(tuple(nodes))
-                slots.append((bi, idx))
-        dds = _dd_exp_many(node_lists)
-        for (bi, idx), v in zip(slots, dds):
-            for mult in idx:
-                v *= factorial(mult)
-            per_block[bi][idx] = v
-        return per_block
+        self.dim = dim = pi.dim
+        nb = len(simplices)
+        # integrals are keyed by block and exponent in base deg + 3
+        self.base = pi.degree() + 3
+        radix = [self.base ** (dim - 1 - j) for j in range(dim)]
+        self.radix = np.array(radix, dtype=np.int64)
+        v0, B, absdet, keys, coef = [], [], [], [], []
+        for V, M, d, det in map(_simplex_chart, simplices):
+            v0.append([x / d for x in V])
+            B.append([[x / d for x in row] for row in M])
+            absdet.append(abs(det / d ** dim))
+            k, c = _pullback(pi, V, M, d, radix)
+            keys += k
+            coef.append(c)
+        self.v0 = np.array(v0, dtype=float).reshape(nb, dim)
+        self.B = np.array(B, dtype=float).reshape(nb, dim, dim)
+        self.absdet = np.array(absdet, dtype=float)
+        # row i of a call's (block, [0, c, shift]) sum is lam_i * lin[i]
+        self.lin = np.concatenate([np.zeros((dim, nb, 1)), self.B.transpose(1, 0, 2),
+                                   self.v0.T[:, :, None]], axis=2)
+        # monomials, front-padded to a common count T per block
+        counts = [len(c) for c in coef]
+        T = max(counts, default=0)
+        self.mono_block = np.repeat(np.arange(nb), counts)
+        self.mono_pos = np.concatenate([np.arange(T - n, T) for n in counts] + [[]]).astype(np.int64)
+        self.coef = np.zeros((T, nb))
+        self.coef[self.mono_pos, self.mono_block] = [x for c in coef for x in c]
+        self.mono_key = self.mono_block * self.base ** dim + np.array(keys, dtype=np.int64)
+        self._plans: Dict[int, _Plan] = {}
 
     def moments(self, lam: Sequence[float], orders: int = 2) -> RegionMoments:
         dim = self.dim
         if len(lam) != dim:
             raise InconsistentInputs(f"lambda has {len(lam)} coordinates, region has dimension {dim}")
         lamf = tuple(float(x) for x in lam)
-        all_vals = self._all_integrals(lamf, orders)
-        z_parts: List[float] = []
-        m1_parts = [[] for _ in range(dim)]
-        m2_parts = [[[] for _ in range(dim)] for _ in range(dim)]
-        for blk, vals in zip(self.blocks, all_vals):
-            shift = sum(blk.v0f[i] * lamf[i] for i in range(dim))
-            scale = blk.absdet * float(np.exp(shift))
-
-            def I(beta, extra=()):
-                idx = list(beta)
-                for k in extra:
-                    idx[k] += 1
-                return vals[tuple(idx)]
-
-            s0_parts = []
-            for beta in sorted(blk.mono):
-                s0_parts.append(blk.mono[beta] * I(beta))
-            s0, peak0 = kahan_sum(s0_parts)
-            if peak0 > 0 and abs(s0) < _CANCEL_LIMIT * peak0:
+        orders = 2 if orders >= 2 else 1 if orders >= 1 else 0
+        plan = self._plans.get(orders)
+        if plan is None:
+            plan = self._plans[orders] = _Plan(self, orders)
+        with np.errstate(**_QUIET):
+            acc = np.zeros(self.lin.shape[1:])
+            for i, x in enumerate(lamf):
+                acc = acc + self.lin[i] * x
+        nodes = acc.ravel()
+        vals = np.zeros(plan.count + 1)
+        for sel, gather in plan.groups:
+            vals[sel] = _dd_exp_many(nodes[gather])
+        with np.errstate(**_QUIET):
+            for w in plan.weights:
+                vals = vals * w
+            parts = self.coef[:, :, None] * vals[plan.slot]
+            sums, running = _kahan(parts)
+            s0 = sums[:, 0]
+            peak = np.fmax.reduce(np.abs([running[:, :, 0], parts[:, :, 0]]), axis=(0, 1),
+                                  initial=0.0)
+            if np.any((peak > 0) & (np.abs(s0) < _CANCEL_LIMIT * peak)):
                 raise PrecisionLoss("cancellation in z-moment")
-            z_parts.append(scale * s0)
-
+        growth = np.exp(acc[:, -1])
+        with np.errstate(**_QUIET):
+            scale = self.absdet * growth
+            cols = [scale * s0]
             if orders >= 1:
                 # x-moments in chart coordinates, then y = v0 + B x.
-                sx = []
+                sx = sums[:, 1:1 + dim]
+                m1 = np.zeros((len(scale), dim))
                 for k in range(dim):
-                    parts = [blk.mono[beta] * I(beta, (k,)) for beta in sorted(blk.mono)]
-                    sx.append(kahan_sum(parts)[0])
-                for i in range(dim):
-                    v = blk.v0f[i] * s0 + sum(blk.Bf[i][k] * sx[k] for k in range(dim))
-                    m1_parts[i].append(scale * v)
+                    m1 = m1 + self.B[:, :, k] * sx[:, k, None]
+                cols += list((scale[:, None] * (self.v0 * s0[:, None] + m1)).T)
             if orders >= 2:
-                sxx = [[0.0] * dim for _ in range(dim)]
+                I, J = np.triu_indices(dim)
+                sxx = np.zeros((len(scale), dim, dim))
+                sxx[:, I, J] = sxx[:, J, I] = sums[:, 1 + dim:]
+                vI, vJ, BI, BJ = self.v0[:, I], self.v0[:, J], self.B[:, I, :], self.B[:, J, :]
+                m2 = (vI * vJ) * s0[:, None]
                 for k in range(dim):
-                    for l in range(k, dim):
-                        parts = [blk.mono[beta] * I(beta, (k, l)) for beta in sorted(blk.mono)]
-                        sxx[k][l] = sxx[l][k] = kahan_sum(parts)[0]
-                for i in range(dim):
-                    for j in range(i, dim):
-                        v = blk.v0f[i] * blk.v0f[j] * s0
-                        for k in range(dim):
-                            v += blk.v0f[i] * blk.Bf[j][k] * sx[k]
-                            v += blk.v0f[j] * blk.Bf[i][k] * sx[k]
-                        for k in range(dim):
-                            for l in range(dim):
-                                v += blk.Bf[i][k] * blk.Bf[j][l] * sxx[k][l]
-                        m2_parts[i][j].append(scale * v)
-                        if i != j:
-                            m2_parts[j][i].append(scale * v)
-        z = kahan_sum(z_parts)[0]
-        first = tuple(kahan_sum(m1_parts[i])[0] for i in range(dim)) if orders >= 1 else tuple([0.0] * dim)
-        second = tuple(
-            tuple(kahan_sum(m2_parts[i][j])[0] for j in range(dim)) for i in range(dim)
-        ) if orders >= 2 else tuple(tuple([0.0] * dim for _ in range(dim)))
-        return RegionMoments(z=z, first=first, second=second, lam=lamf)
+                    m2 = m2 + (vI * BJ[:, :, k]) * sx[:, k, None]
+                    m2 = m2 + (vJ * BI[:, :, k]) * sx[:, k, None]
+                for k in range(dim):
+                    for l in range(dim):
+                        m2 = m2 + (BI[:, :, k] * BJ[:, :, l]) * sxx[:, k, l, None]
+                cols += list((scale[:, None] * m2).T)
+            total = _kahan(np.array(cols).T)[0].tolist()
+        first = tuple(total[1:1 + dim]) if orders >= 1 else (0.0,) * dim
+        second = [[0.0] * dim for _ in range(dim)]
+        if orders >= 2:
+            for i, j, x in zip(*np.triu_indices(dim), total[1 + dim:]):
+                second[i][j] = second[j][i] = x
+        return RegionMoments(z=total[0], first=first, second=tuple(map(tuple, second)), lam=lamf)
 
     def z(self, lam: Sequence[float]) -> float:
         return self.moments(lam, orders=0).z
@@ -297,27 +370,28 @@ def integrate_region(region: Polytope, p: Polynomial, lam: Sequence[float],
 
 
 def subdivide_simplex(simplex) -> List[tuple]:
-    """Uniform refinement: 2 children in 1-D, 4 in 2-D, 8 in 3-D."""
+    """Edgewise (Freudenthal) refinement into 2^dim children of equal volume,
+    in any dimension; every child vertex is the midpoint of two vertices.
+
+    Reading the vertices w_0, ..., w_d as a chain, the simplex is the image
+    of 2K = {2 >= x_1 >= ... >= x_d >= 0} under x -> sum_j (x_j - x_{j+1})
+    w_j / 2 (x_0 = 2, x_{d+1} = 0). The children are the Freudenthal
+    simplices (a, a + e_s1, a + e_s1 + e_s2, ...), a in {0, 1}^d, that lie
+    in 2K.
+    """
     verts = [vec_exact(v) for v in simplex]
-    dim = len(verts[0])
+    d = len(verts) - 1
 
-    def mid(a, b):
-        return tuple((x + y) / 2 for x, y in zip(a, b))
+    def point(x):
+        w = [a - b for a, b in zip((2,) + x, x + (0,))]
+        return tuple(sum(wj * v[c] for wj, v in zip(w, verts)) / 2 for c in range(len(verts[0])))
 
-    if dim == 1:
-        a, b = verts
-        m = mid(a, b)
-        return [(a, m), (m, b)]
-    if dim == 2:
-        a, b, c = verts
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        return [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    if dim == 3:
-        a, b, c, d = verts
-        ab, ac, ad = mid(a, b), mid(a, c), mid(a, d)
-        bc, bd, cd = mid(b, c), mid(b, d), mid(c, d)
-        return [
-            (a, ab, ac, ad), (ab, b, bc, bd), (ac, bc, c, cd), (ad, bd, cd, d),
-            (ab, ac, ad, bd), (ab, ac, bc, bd), (ac, ad, bd, cd), (ac, bc, bd, cd),
-        ]
-    raise InconsistentInputs("uniform subdivision implemented for dim <= 3")
+    children = []
+    for base in itertools.product((0, 1), repeat=d):
+        for perm in itertools.permutations(range(d)):
+            path = [base]
+            for s in perm:
+                path.append(tuple(x + (i == s) for i, x in enumerate(path[-1])))
+            if all(all(a >= b for a, b in zip((2,) + x, x + (0,))) for x in path):
+                children.append(tuple(point(x) for x in path))
+    return children

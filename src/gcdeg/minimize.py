@@ -191,6 +191,10 @@ def _face_newton(engine, two_rho: np.ndarray, N: np.ndarray, opts: MinimizeOptio
         accepted = False
         for _ in range(1 if flat else 50):
             cand = xi + t * step
+            if np.array_equal(cand, xi):
+                # No shorter step can move xi, and accepting the no-op would
+                # repeat this iteration unchanged until max_iter.
+                break
             st = phi_grad_hess(cand)
             if st is not None and (np.linalg.norm(st[1]) < np.linalg.norm(g) if flat
                                    else st[0] <= val + 1e-4 * t * slope):

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import (dot, int_array, int_matmul, mat_rank, max_abs, solve_exact,
-                       to_exact, vec_exact)
+from ._numeric import (dot, int_array, int_det, int_matmul, mat_rank, max_abs,
+                       scaled_ints, solve_exact, to_exact, vec_exact)
 from .errors import Empty, InconsistentInputs, LowerDimensional, Unbounded
 
 Vector = Tuple[Fraction, ...]
@@ -245,34 +245,9 @@ def build_polytope(halfspaces: Optional[Sequence] = None,
 
 def _simplex_volume(simplex: Sequence[Vector]) -> Fraction:
     d = len(simplex) - 1
-    base = simplex[0]
-    rows = [[simplex[i + 1][j] - base[j] for j in range(d)] for i in range(d)]
-    det = _det_exact(rows)
-    return abs(det) / factorial(d)
-
-
-def _det_exact(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pr = r
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / pv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+    rows, scale = scaled_ints(simplex)
+    det = int_det([[r[j] - rows[0][j] for j in range(d)] for r in rows[1:]])
+    return Fraction(abs(det), scale ** d * factorial(d))
 
 
 def triangulate(p: Polytope) -> List[Tuple[Vector, ...]]:

@@ -21,6 +21,7 @@ from gcdeg import (DegreeCapExceeded, InconsistentInputs, McConfig,
                    subdivide_simplex)
 from gcdeg._poly import Polynomial
 from gcdeg.expint import _dd_exp_many, _expm_stack
+from gcdeg.polytope import _simplex_volume
 
 UNIT_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(1)))
@@ -48,7 +49,8 @@ def test_standard_simplex_volume():
 
 def test_divided_difference_small_cases():
     a, b = 0.7, -0.3
-    dd, conf, single = _dd_exp_many([(a, b), (a, a), (a,)])
+    dd, conf = _dd_exp_many(np.array([(a, b), (a, a)]))
+    single, = _dd_exp_many(np.array([(a,)]))
     assert dd == pytest.approx((math.exp(a) - math.exp(b)) / (a - b), rel=1e-14)
     assert conf == pytest.approx(math.exp(a), rel=1e-14)
     assert single == pytest.approx(math.exp(a), rel=1e-15)
@@ -143,6 +145,27 @@ def test_subdivide_partitions_volume():
     whole = integrate_simplex(one, (0.7, 0.3), UNIT_TRIANGLE)
     parts = sum(integrate_simplex(one, (0.7, 0.3), c) for c in children)
     assert parts == pytest.approx(whole, rel=1e-13)
+
+
+def test_subdivide_4d_simplex():
+    """Edgewise refinement works past dimension 3: 16 children of equal
+    exact volume inside the parent, and one refinement level leaves the
+    integral unchanged."""
+    verts = [[0, 0, 0, 0], [3, 0, 0, 0], [1, 2, 0, 0], [0, 1, "5/2", 0], [1, 0, 1, 2]]
+    region = build_polytope(vertices=verts)
+    simplex = tuple(tuple(Fraction(x) for x in v) for v in verts)
+    children = subdivide_simplex(simplex)
+    assert len(children) == 16
+    vols = [_simplex_volume(c) for c in children]
+    assert set(vols) == {_simplex_volume(simplex) / 16}
+    assert sum(vols) == region.volume()
+    assert all(region.contains(v) for c in children for v in c)
+    y = [Polynomial.coordinate(4, i) for i in range(4)]
+    p = y[0] * y[1] + y[2] * y[3] * y[3] + _poly_const(4, 1)
+    lam = (0.4, -0.3, 0.2, 0.1)
+    v0 = integrate_region(region, p, lam, subdivisions=0)
+    v1 = integrate_region(region, p, lam, subdivisions=1)
+    assert abs(v1 - v0) / abs(v0) <= 1e-10
 
 
 def test_mc_agreement_case1(case1_poly, rs_so4):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcdeg import (DependentActiveRoots, DivergentMinimizer, MinimizeOptions,
-                   RootSystemSpec, build_polytope, build_root_system,
+                   RegionMoments, RootSystemSpec, build_polytope, build_root_system,
                    coercivity_check, dh_density, get_engine, h_vector, ke_test,
                    kkt_multipliers, minimize_h)
 from gcdeg._numeric import nullspace, vec_exact
@@ -232,3 +232,38 @@ def test_a1_cube_flat_step_face_converges():
     *_, gnorm, iters, converged = _face_newton(engine, two_rho, N, MinimizeOptions())
     assert converged and iters <= 10
     assert gnorm <= MinimizeOptions().grad_tol
+
+
+class _NoisyEngine:
+    """1-D stub: from xi = 0 a Newton step lands on some x1 (a plain
+    descent); from then on the gradient stays at 1e-7, and every point but
+    x1 carries +1e-12 of noise in its value, far above the step's predicted
+    decrease of 1e-14 (not flat: 16 ulps of h = 1 is 3.6e-15). Armijo can
+    only accept the no-op x1 + t step == x1, which used to repeat until
+    max_iter."""
+
+    def __init__(self):
+        self.calls = 0
+        self.landing = None
+
+    def moments(self, lam, orders=2):
+        self.calls += 1
+        x = float(lam[0])
+        if x == 0.0:
+            val, b = 2.0, -1.0
+        else:
+            self.landing = x if self.landing is None else self.landing
+            val, b = 1.0 + 1e-12 * (x != self.landing), 1e-7
+        z = math.exp(val)
+        return RegionMoments(z=z, first=(b * z,), second=((z * (1.0 + b * b),),), lam=(x,))
+
+
+def test_face_newton_stops_at_a_no_op_step():
+    engine = _NoisyEngine()
+    xi, val, _, gnorm, iters, converged = _face_newton(
+        engine, np.zeros(1), np.eye(1), MinimizeOptions())
+    assert xi.tolist() == [engine.landing] and val == 1.0
+    assert gnorm == pytest.approx(1e-7) and not converged
+    # one step to x1, then one backtracking search that ends at the no-op
+    assert iters == 2
+    assert engine.calls <= 40
