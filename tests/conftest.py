@@ -6,11 +6,14 @@ stationarity condition, rejection-sampling Monte Carlo, dense grid scans)
 before the package computed them; the comments on each constant name the
 method. The high-precision root finding is `so4_wall_reference` below, so
 acceptance criteria 1-2 re-derive the SO(4) constants on every run.
+`dd_exp_reference` is the high-precision reference for divided differences
+of exp.
 """
 
 import io
 import itertools
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,6 +227,46 @@ def wall_ref_case1():
 @pytest.fixture(scope="session")
 def wall_ref_case2():
     return so4_wall_reference(wall_pieces(CASE2_VERTICES))
+
+
+def dd_exp_reference(nodes, dps=60):
+    """Divided differences exp[x_0, ..., x_k] for every prefix k = 0..n of
+    `nodes`, as mpmath numbers good to `dps` digits; it calls nothing in
+    gcdeg.
+
+    The complete-homogeneous series exp[x_0..x_k] = sum_j h_j(x_0..x_k) /
+    (j + k)! (the divided difference of t^(j+k) at x_0..x_k is h_j, the
+    complete homogeneous polynomial of degree j), summed after shifting the
+    nodes by their midrange c (exp[x] = e^c exp[x - c]), so |x - c| <= X
+    with X half the node spread. Adding node x_k to h is one pass
+    h_j += x_k h_(j-1), which is why every prefix comes at the cost of the
+    whole. Since |h_j| <= binom(j + k, k) X^j, the terms are at most
+    X^j / (j! k!), summing to e^X / k!, while the result is at least
+    e^(-X) / k!. So K terms with K > 2X and X^K / K! < 10^-(dps+5) e^(-2X)
+    bound the truncation, and 2X / ln 10 guard digits the cancellation.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = min(nodes), max(nodes)
+    X = (hi - lo) / 2
+    with mpmath.workdps(dps + int(2 * X / math.log(10)) + 10):
+        c = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+        bound = mpmath.mpf(10) ** -(dps + 5) * mpmath.exp(-2 * X)
+        K, term = 0, mpmath.mpf(1)
+        while K <= 2 * X or term >= bound:
+            K += 1
+            term = term * X / K
+        h = [mpmath.mpf(1)] + [mpmath.mpf(0)] * K
+        out, ec = [], mpmath.exp(c)
+        for k, v in enumerate(nodes):
+            x = mpmath.mpf(v) - c
+            for j in range(1, K + 1):
+                h[j] += x * h[j - 1]
+            fact, total = mpmath.factorial(k), mpmath.mpf(0)
+            for j in range(K + 1):
+                total += h[j] / fact
+                fact *= j + k + 1
+            out.append(ec * total)
+        return out
 
 
 def run_cli(argv):

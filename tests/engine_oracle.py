@@ -1,11 +1,14 @@
-"""Per-block loop moment engine, kept as a bit-identity oracle.
+"""Per-block loop moment engine, kept as a per-integral oracle.
 
-The library's earlier `MomentEngine`: pi is pulled back to each simplex
-chart in Fraction arithmetic (term by term, every linear substitution raised
-to its power), and every call rebuilds its node lists, Opitz matrices and
-index sets and sums monomials with a Python Kahan loop, one block at a time.
-The divided differences run through the library's `_expm_stack` on the same
-stacks, so the planned engine must reproduce every double of this one.
+An earlier `MomentEngine`: pi is pulled back to each simplex chart in
+Fraction arithmetic (term by term, every linear substitution raised to its
+power), and every call rebuilds its node lists, Opitz matrices and index
+sets and sums monomials with a Python Kahan loop, one block at a time. Each
+integral is the corner of its own Opitz matrix's exponential, through the
+library's `_expm_stack`, where the planned engine reads windows of one
+exponential per node chain; so the two agree to rounding, not bit for bit.
+`moments(..., magnitude=True)` sums the absolute values of the same terms,
+the scale against which that rounding is measured.
 """
 
 from fractions import Fraction
@@ -146,7 +149,9 @@ class OracleEngine:
             per_block[bi][idx] = v
         return per_block
 
-    def moments(self, lam, orders=2) -> RegionMoments:
+    def moments(self, lam, orders=2, magnitude=False) -> RegionMoments:
+        """The moments; with `magnitude`, the same sums with every term
+        replaced by its absolute value (the scale of their rounding error)."""
         dim = self.dim
         lamf = tuple(float(x) for x in lam)
         all_vals = self._all_integrals(lamf, orders)
@@ -156,6 +161,11 @@ class OracleEngine:
         for blk, vals in zip(self.blocks, all_vals):
             shift = sum(blk.v0f[i] * lamf[i] for i in range(dim))
             scale = blk.absdet * float(np.exp(shift))
+            mono, v0f, Bf = blk.mono, blk.v0f, blk.Bf
+            if magnitude:
+                mono = {b: abs(c) for b, c in mono.items()}
+                v0f = tuple(map(abs, v0f))
+                Bf = tuple(tuple(map(abs, row)) for row in Bf)
 
             def I(beta, extra=()):
                 idx = list(beta)
@@ -163,31 +173,31 @@ class OracleEngine:
                     idx[k] += 1
                 return vals[tuple(idx)]
 
-            s0, peak0 = kahan_sum(blk.mono[b] * I(b) for b in sorted(blk.mono))
+            s0, peak0 = kahan_sum(mono[b] * I(b) for b in sorted(mono))
             if peak0 > 0 and abs(s0) < _CANCEL_LIMIT * peak0:
                 raise PrecisionLoss("cancellation in z-moment")
             z_parts.append(scale * s0)
             if orders >= 1:
-                sx = [kahan_sum(blk.mono[b] * I(b, (k,)) for b in sorted(blk.mono))[0]
+                sx = [kahan_sum(mono[b] * I(b, (k,)) for b in sorted(mono))[0]
                       for k in range(dim)]
                 for i in range(dim):
-                    v = blk.v0f[i] * s0 + sum(blk.Bf[i][k] * sx[k] for k in range(dim))
+                    v = v0f[i] * s0 + sum(Bf[i][k] * sx[k] for k in range(dim))
                     m1_parts[i].append(scale * v)
             if orders >= 2:
                 sxx = [[0.0] * dim for _ in range(dim)]
                 for k in range(dim):
                     for l in range(k, dim):
                         sxx[k][l] = sxx[l][k] = kahan_sum(
-                            blk.mono[b] * I(b, (k, l)) for b in sorted(blk.mono))[0]
+                            mono[b] * I(b, (k, l)) for b in sorted(mono))[0]
                 for i in range(dim):
                     for j in range(i, dim):
-                        v = blk.v0f[i] * blk.v0f[j] * s0
+                        v = v0f[i] * v0f[j] * s0
                         for k in range(dim):
-                            v += blk.v0f[i] * blk.Bf[j][k] * sx[k]
-                            v += blk.v0f[j] * blk.Bf[i][k] * sx[k]
+                            v += v0f[i] * Bf[j][k] * sx[k]
+                            v += v0f[j] * Bf[i][k] * sx[k]
                         for k in range(dim):
                             for l in range(dim):
-                                v += blk.Bf[i][k] * blk.Bf[j][l] * sxx[k][l]
+                                v += Bf[i][k] * Bf[j][l] * sxx[k][l]
                         m2_parts[i][j].append(scale * v)
                         if i != j:
                             m2_parts[j][i].append(scale * v)

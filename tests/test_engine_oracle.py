@@ -1,6 +1,16 @@
 """The planned moment engine against the per-block loop engine it replaced
-(engine_oracle.py): every z, first and second moment is the same double,
-and PrecisionLoss is raised in the same cases."""
+(engine_oracle.py): every z, first and second moment agrees to 1e-12
+relative, and PrecisionLoss is raised in the same cases.
+
+The two engines read the same divided differences in different ways: the
+planned one as windows of one matrix exponential per node chain, the
+oracle as the corner of one matrix exponential per integral. So their
+doubles differ in the last digits, and the difference is measured against
+the sum of the absolute values of a moment's terms: that is the scale of
+rounding in a sum, and it equals |moment| unless the terms cancel (an
+off-diagonal moment that is exactly 0 comes out as 0 in one engine and
+-1e-17 in the other).
+"""
 
 import itertools
 from fractions import Fraction
@@ -16,20 +26,31 @@ from gcdeg.cli import build_from_doc
 from gcdeg.expint import MomentEngine
 from gcdeg.presets import get_preset
 
+REL = 1e-12
 
-def outcome(engine, lam, orders):
-    """Bit patterns of every moment, or the name of the error raised."""
+
+def outcome(engine, lam, orders, **kw):
+    """Every moment, or the name of the error raised."""
     try:
-        m = engine.moments(lam, orders)
+        m = engine.moments(lam, orders, **kw)
     except PrecisionLoss:
         return "PrecisionLoss"
-    return [x.hex() for x in (m.z, *m.first, *itertools.chain(*m.second))]
+    return [m.z, *m.first, *itertools.chain(*m.second)]
+
+
+def assert_agree(new, old, lam, orders):
+    got, want = outcome(new, lam, orders), outcome(old, lam, orders)
+    if "PrecisionLoss" in (got, want):
+        assert got == want, (lam, orders)
+        return
+    scale = outcome(old, lam, orders, magnitude=True)
+    assert all(abs(a - b) <= REL * m for a, b, m in zip(got, want, scale)), (lam, orders, got, want)
 
 
 def assert_engines_agree(simplices, pi, lams, orders=(0, 1, 2)):
     new, old = MomentEngine(simplices, pi), engine_oracle.OracleEngine(simplices, pi)
     for lam, k in itertools.product(lams, orders):
-        assert outcome(new, lam, k) == outcome(old, lam, k), (lam, k)
+        assert_agree(new, old, lam, k)
 
 
 def box_region(catalog, box):
@@ -105,4 +126,4 @@ def test_random_simplices_and_densities(case, orders):
         with pytest.raises(DegenerateSimplex):
             MomentEngine([simplex], pi)
         return
-    assert outcome(MomentEngine([simplex], pi), lam, orders) == outcome(old, lam, orders)
+    assert_agree(MomentEngine([simplex], pi), old, lam, orders)

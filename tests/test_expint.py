@@ -1,9 +1,12 @@
 """Integration engine: closed forms, matrix exponential, refinement.
 
 The e - 2 value is the hand antiderivative of (1-x)e^x on [0,1]; other
-references are scipy quadrature, scipy expm, and rejection-sampling MC.
+references are scipy quadrature, scipy expm, rejection-sampling MC, the
+60-digit divided differences of `dd_exp_reference` (conftest.py) and, for
+rank-4 product boxes, the moments of their rank-1 and rank-2 factors.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,8 +23,11 @@ from gcdeg import (DegreeCapExceeded, InconsistentInputs, McConfig,
                    integrate_simplex, mc_integrate, region_moments,
                    subdivide_simplex)
 from gcdeg._poly import Polynomial
-from gcdeg.expint import _dd_exp_many, _expm_stack
+from gcdeg.cli import build_from_doc
+from gcdeg.expint import _expm_stack, _opitz_exp
 from gcdeg.polytope import _simplex_volume
+
+from conftest import dd_exp_reference
 
 UNIT_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(1)))
@@ -49,11 +55,44 @@ def test_standard_simplex_volume():
 
 def test_divided_difference_small_cases():
     a, b = 0.7, -0.3
-    dd, conf = _dd_exp_many(np.array([(a, b), (a, a)]))
-    single, = _dd_exp_many(np.array([(a,)]))
+    dd, conf = _opitz_exp(np.array([(a, b), (a, a)]))[:, 0, 1]
+    single = _opitz_exp(np.array([(a,)]))[0, 0, 0]
     assert dd == pytest.approx((math.exp(a) - math.exp(b)) / (a - b), rel=1e-14)
     assert conf == pytest.approx(math.exp(a), rel=1e-14)
     assert single == pytest.approx(math.exp(a), rel=1e-15)
+
+
+def _window_chains():
+    """Node chains for m = 2..32 at scales 0.5, 3, 10 and 30, half of them
+    spread over [-scale, scale] and half clustered or confluent (a few
+    centres, each node on one of them or 1e-9 to 1e-5 times the scale off
+    it)."""
+    rng = np.random.default_rng(8)
+    for m in range(2, 33):
+        scale = (0.5, 3.0, 10.0, 30.0)[m // 2 % 4]
+        if m % 2:
+            yield rng.uniform(-scale, scale, m)
+        else:
+            centres = rng.uniform(-scale, scale, rng.integers(1, 4))
+            offsets = rng.choice([0.0, 1e-9, 1e-7, 1e-5], m) * rng.normal(size=m) * scale
+            yield rng.choice(centres, m) + offsets
+
+
+# A chain of the B2xB2 box [0,4]^4 at slope (0.3, 0.1, 0.2, 0.05): Pade-13
+# at full norm theta_13 was off by 2.3e-5 on its corner.
+B2XB2_CHAIN = [0.0, 1.2] + [2.0] * 4 + [2.4] * 3 + [2.6] * 14
+
+
+@pytest.mark.parametrize("chain", [pytest.param(c, id=f"m{len(c)}") for c in _window_chains()]
+                         + [pytest.param(np.array(B2XB2_CHAIN), id="b2xb2")])
+def test_every_window_against_reference(chain):
+    """Entry (i, j) of the exponential of a chain's Opitz matrix is the
+    divided difference exp[x_i, ..., x_j], to 1e-13 relative."""
+    got = _opitz_exp(chain[None])[0]
+    for i in range(len(chain)):
+        ref = np.array([float(v) for v in dd_exp_reference(list(chain[i:]))])
+        err = np.abs(got[i, i:] - ref) / ref
+        assert err.max() <= 1e-13, (i, int(err.argmax()) + i, err.max())
 
 
 def test_expm_stack_matches_scipy():
@@ -234,3 +273,32 @@ def test_wrong_length_slope_raises(rs_so4, case1_poly, lam):
         region_moments(case1_poly, dh_density(rs_so4), lam)
     with pytest.raises(InconsistentInputs):
         h_vector(rs_so4, case1_poly, lam)
+
+
+def _box(catalog, h, dim):
+    """The box [0, h]^dim cut to the dominant chamber, and pi."""
+    verts = [list(v) for v in itertools.product([0, h], repeat=dim)]
+    rs, p, _ = build_from_doc({"root_system": {"catalog": catalog},
+                               "polytope": {"vertices": verts, "restrict_to_chamber": True}})
+    return p, dh_density(rs)
+
+
+@pytest.mark.parametrize("lam", [("3/10", "1/10", "1/5", "1/20"),
+                                 ("41/50", "33/100", "79/100", "9/20"),
+                                 ("81/100", "2/25", "9/50", "23/100")])
+@pytest.mark.parametrize("catalog, factor, h", [("B2xB2", "B2", "4"),
+                                                ("A1xA1xA1xA1", "A1", "3")])
+def test_rank4_moments_match_factors(catalog, factor, h, lam):
+    """On a product box with a product density the moments factor: z is
+    the product of the factors' z, the barycenter their concatenation and
+    the covariance block diagonal."""
+    lam = [float(Fraction(x)) for x in lam]
+    got = region_moments(*_box(catalog, h, 4), lam)
+    d = 2 if factor == "B2" else 1
+    parts = [region_moments(*_box(factor, h, d), lam[k:k + d]) for k in range(0, 4, d)]
+    cov = np.zeros((4, 4))
+    for k, part in zip(range(0, 4, d), parts):
+        cov[k:k + d, k:k + d] = part.covariance()
+    assert got.z / math.prod(p.z for p in parts) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(np.subtract(got.barycenter(), [x for p in parts for x in p.barycenter()])).max() <= 1e-12
+    assert np.abs(got.covariance() - cov).max() <= 1e-12
