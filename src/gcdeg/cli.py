@@ -31,7 +31,7 @@ from .expint import get_engine, integrate_region
 from .hfun import h_plfunction, h_vector
 from .minimize import MinimizeOptions, ke_test, minimize_h
 from .oracle import McConfig, mc_integrate
-from .polytope import Polytope, build_polytope
+from .polytope import Polytope, build_polytope, lattice_points
 from .presets import get_preset, list_presets
 from .rootsys import RootSystem, RootSystemSpec, build_root_system, dh_density
 from .testconfig import (PLConcave, approximate_p, filtration_table, from_vector, pl_concave,
@@ -433,7 +433,6 @@ def run_approx(args) -> Dict:
     f = parse_f(args.f, rs, p_plus)
     q = args.q if args.q is not None else 4 * args.p
     fp = approximate_p(f, args.p, q)
-    from .polytope import lattice_points
     grid = lattice_points(p_plus, q)
     P, dp = int_points(grid, p_plus.dim)
     nf, sf = piece_minima(f.pieces, P, dp * q)

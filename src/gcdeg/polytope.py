@@ -10,11 +10,10 @@ the rows it makes tight as an int bitmask; redundancy and the faces the
 triangulation recurses over are read off those masks.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,43 +300,26 @@ def lattice_points(p: Polytope, k: int = 1,
 @lru_cache(maxsize=64)
 def _lattice_points_cached(p: Polytope, k: int,
                            basis_key: Optional[Tuple[Vector, ...]]) -> Tuple[Vector, ...]:
+    """Points y = m B over a box of integer coefficient rows m, B the basis
+    (identity by default). A halfspace <n, y> <= k b reads <B n, m> <= k b,
+    so one integer product filters the box; y is formed on B's common
+    denominator and sorted as integer rows."""
     dim = p.dim
-    if basis_key is None:
-        basis = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    else:
-        basis = list(basis_key)
+    basis = basis_key or tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
     # Coefficient bounds: solve v = B^T m for each dilated vertex, take the box.
-    rows = [[basis[j][i] for j in range(dim)] for i in range(dim)]  # columns are generators
-    coeff_verts = []
-    for v in p.vertices:
-        target = [k * x for x in v]
-        m = solve_exact(rows, target)
-        coeff_verts.append(m)
-    import math as _m
-    lo = [int(_m.floor(min(cv[i] for cv in coeff_verts))) for i in range(dim)]
-    hi = [int(_m.ceil(max(cv[i] for cv in coeff_verts))) for i in range(dim)]
-    if basis_key is None:
-        # Clear denominators once; the box test is one integer A @ box <= b.
-        rows, rhs = [], []
-        for n, b in p.halfspaces:
-            kb = k * b
-            den = lcm(kb.denominator, *(x.denominator for x in n))
-            rows.append([int(x * den) for x in n])
-            rhs.append([int(kb * den)])
-        # lexicographic order, as itertools.product walks the box
-        axes = np.meshgrid(*[np.arange(lo[i], hi[i] + 1) for i in range(dim)], indexing="ij")
-        box = np.stack(axes, axis=-1).reshape(-1, dim)
-        b = int_array(rhs, 1, max_abs(rhs))[:, 0]
-        box = box[np.all(int_matmul(box, rows) <= b, axis=1)]
-        coord = {c: Fraction(c) for c in np.unique(box).tolist()}   # shared, immutable
-        return tuple(tuple(map(coord.__getitem__, row)) for row in box.tolist())
-    box = itertools.product(*[range(lo[i], hi[i] + 1) for i in range(dim)])
-    out = []
-    khs = [(n, k * b) for n, b in p.halfspaces]
-    for combo in box:
-        y = tuple(sum(Fraction(combo[j]) * basis[j][i] for j in range(dim))
-                  for i in range(dim))
-        if all(dot(n, y) <= b for n, b in khs):
-            out.append(y)
-    out.sort()
-    return tuple(out)
+    cols = [[basis[j][i] for j in range(dim)] for i in range(dim)]
+    coeff_verts = [solve_exact(cols, [k * x for x in v]) for v in p.vertices]
+    lo = [floor(min(cv[i] for cv in coeff_verts)) for i in range(dim)]
+    hi = [ceil(max(cv[i] for cv in coeff_verts)) for i in range(dim)]
+    # one integer row (B n, k b) per halfspace
+    rows = [scaled_ints([[dot(g, n) for g in basis] + [k * off]])[0][0] for n, off in p.halfspaces]
+    rhs = [r[-1:] for r in rows]
+    b = int_array(rhs, 1, max_abs(rhs))[:, 0]
+    axes = np.meshgrid(*[np.arange(lo[i], hi[i] + 1) for i in range(dim)], indexing="ij")
+    box = np.stack(axes, axis=-1).reshape(-1, dim)
+    box = box[np.all(int_matmul(box, [r[:-1] for r in rows]) <= b, axis=1)]
+    B, d = scaled_ints(basis)
+    Y = int_matmul(box, [list(c) for c in zip(*B)])
+    Y = Y[np.lexsort(Y.T[::-1])]
+    coord = {c: Fraction(c, d) for c in np.unique(Y).tolist()}   # shared, immutable
+    return tuple(tuple(map(coord.__getitem__, row)) for row in Y.tolist())

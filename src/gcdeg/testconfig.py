@@ -17,11 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._numeric import (INT64_SAFE, dot, int_array, int_matmul, int_points,
-                       is_exact_input, max_abs, nullspace, scaled_ints, solve_exact, to_exact,
-                       vec_exact, widen)
+                       is_exact_input, max_abs, scaled_ints, solve_exact, to_exact, vec_exact,
+                       widen)
 from .errors import (ComponentOutsidePolytope, InconsistentInputs, InvalidCartanDatum,
                      NotDominant, NotDominantPiece)
-from .polytope import Polytope, lattice_points
+from .polytope import Polytope, cone_generators, lattice_points
 from .rootsys import RootSystem
 
 Piece = Tuple[Fraction, Tuple[Fraction, ...]]
@@ -328,172 +328,42 @@ def semivaluation_eval(f: PLConcave, sigma: WeightedElement) -> Fraction:
 
 # -- rational approximation --------------------------------------------------
 
-def _upper_hull_1d(xs: List[Fraction], gs: List[Fraction]) -> List[Piece]:
-    pts = sorted(zip(xs, gs))
-    hull: List[Tuple[Fraction, Fraction]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the chain concave: slope must not increase
-            if (y2 - y1) * (p[0] - x2) <= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        # equal x: keep the higher value
-        if hull and hull[-1][0] == p[0]:
-            if p[1] > hull[-1][1]:
-                hull[-1] = p
-            continue
-        hull.append(p)
-    pieces = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        pieces.append((y1 - slope * x1, (-slope,)))
-    if not pieces:
-        pieces.append((hull[0][1], (Fraction(0),)))
-    return pieces
-
-
 def _upper_hull_planes(P: np.ndarray, G: np.ndarray, q: int, p: int) -> List[Piece]:
     """Exact supporting planes of the upper concave envelope of the lifted
-    grid points (P_i/q, G_i/p), with P and G integer.
+    grid points (P_i/q, G_i/p), with P and G integer, sorted by slope s.
 
-    The upper facets of the lifted points come from an exact integer hull
-    (_hull_facets); each facet's offset is the exact maximum of
-    g - <slope, x> over every grid point, so every returned plane is an
-    exact support of the data."""
-    dim = P.shape[1]
-    if dim == 1:
-        return _upper_hull_1d([Fraction(x, q) for x in P[:, 0].tolist()],
-                              [Fraction(g, p) for g in G.tolist()])
-    Y = np.column_stack([P, G])
-    facets = _hull_facets(Y, upper=True)
-    if facets is None:
+    The planes g = c + <s, x> are the vertices of the polyhedron
+    {(c, s) : c + <s, P_i/q> >= G_i/p for all i}. With u = pqc and w = ps
+    they are the rays with t > 0 of the cone
+    {(u, w, t) : u + <w, P_i> - q G_i t >= 0, t >= 0}, and the piece is
+    (c, -s). The cone comes from cone_generators, fed by cutting planes:
+    each round evaluates the rows left against the generators (rays and
+    both signs of the lineality) in one integer product, drops every row
+    that no generator violates, since it holds on the current cone and so
+    on every smaller one, and adds the most-violated row of each violated
+    generator. A vertex is tight on some grid point and valid on all, so
+    its offset c is the exact maximum of g - <s, x>. Lineality left at the
+    end means the grid does not affinely span.
+    """
+    n, dim = P.shape
+    A = np.column_stack([np.ones(n, dtype=np.int64), P, -widen(G, q) * q])
+    rows = [(0,) * (dim + 1) + (1,)]                  # t >= 0
+    rays, lin = cone_generators(rows)
+    while len(A):
+        V = int_matmul(A, rays + lin + [tuple(-x for x in v) for v in lin])
+        bad = V < 0
+        add = np.unique(V.argmin(axis=0)[bad.any(axis=0)])
+        keep = bad.any(axis=1)
+        keep[add] = False
+        if len(add):
+            rows += [tuple(r) for r in A[add].tolist()]
+            rays, lin = cone_generators(rows)
+        A = A[keep]
+    if lin:
         raise InconsistentInputs("could not construct the upper envelope")
-    # facet N.(x, g) = const in scaled coordinates: slope of g in x is -N_x q / (N_g p)
-    slopes = sorted(tuple(Fraction(-q * a, p * n[-1]) for a in n[:-1]) for n, _ in facets)
-    pieces = []
-    for slope in slopes:
-        (num,), d = scaled_ints([slope])
-        top = (widen(G, q * d) * (q * d) - widen(int_matmul(P, [num])[:, 0], p) * p).max()
-        pieces.append((Fraction(int(top), p * q * d), tuple(-s for s in slope)))
-    return pieces
-
-
-# -- exact integer convex hulls ----------------------------------------------
-
-def _primitive(v) -> Tuple[int, ...]:
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
-
-
-def _normals(rows: Sequence[Sequence[int]], m: int) -> List[List[int]]:
-    """Integer basis of the vectors orthogonal to every row."""
-    return [scaled_ints([v])[0][0] for v in nullspace([[Fraction(x) for x in r] for r in rows], m)]
-
-
-def _flat_basis(D: np.ndarray) -> List[List[int]]:
-    """Rows of D that form a basis of its row space, picked one at a time
-    as the first row not orthogonal to the current basis's complement."""
-    basis: List[List[int]] = []
-    while True:
-        K = _normals(basis, D.shape[1])
-        hit = np.flatnonzero((int_matmul(D, K) != 0).any(axis=1)) if K else ()
-        if not len(hit):
-            return basis
-        basis.append(D[hit[0]].tolist())
-
-
-def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the largest num[i] / den[i] (den > 0), exact: floats pick
-    the near-ties and integer cross-multiplication decides among them."""
-    r = num.astype(float) / den.astype(float)
-    top = r.max()
-    cand = np.flatnonzero(r >= top - 1e-9 * abs(top)).tolist()
-    best = cand[0]
-    for i in cand[1:]:
-        if int(num[i]) * int(den[best]) > int(num[best]) * int(den[i]):
-            best = i
-    return best
-
-
-def _rotate(Y: np.ndarray, r: int, N: Tuple[int, ...], M: Sequence[int]):
-    """Turn the supporting hyperplane N through Y[r] toward M (M orthogonal
-    to the flat it turns about) until it meets another point: the new
-    primitive normal, or None when every point lies in N's hyperplane."""
-    height = int_matmul(Y, [N, M]) - int_matmul(Y[r:r + 1], [N, M])
-    depth = -height[:, 0]                              # >= 0 below the plane
-    off = np.flatnonzero(depth > 0)
-    if not len(off):
-        return None
-    j = off[_argmax_ratio(height[off, 1], depth[off])]
-    tj, dj = int(height[j, 1]), int(depth[j])
-    return _primitive([tj * a + dj * b for a, b in zip(N, M)])
-
-
-def _contact(Y: np.ndarray, r: int, N: Tuple[int, ...]) -> np.ndarray:
-    h = int_matmul(Y, [N])[:, 0]
-    return np.flatnonzero(h == h[r])
-
-
-def _first_facet(Y: np.ndarray, upper: bool):
-    """One facet of conv(Y): the supporting hyperplane through the top point
-    in the last coordinate, turned about its contact flat until the flat is
-    (m-1)-dimensional. With upper, every turn keeps the last coordinate of
-    the normal positive. None when Y spans no facet."""
-    m = Y.shape[1]
-    up = (0,) * (m - 1) + (1,)
-    N = up
-    r = int(np.argmax(Y[:, -1]))
-    while True:
-        C = _contact(Y, r, N)
-        dirs = _flat_basis(Y[C] - Y[r])
-        if len(dirs) == m - 1:
-            return N, C
-        M = _normals(dirs + [N] + ([up] if upper and len(dirs) < m - 2 else []), m)[0]
-        for turn in (M, [-x for x in M]):
-            N2 = _rotate(Y, r, N, turn)
-            if N2 is not None and (not upper or N2[-1] > 0):
-                break
-        else:
-            return None
-        N = N2
-
-
-def _hull_facets(Y: np.ndarray, upper: bool = False):
-    """Facets of conv(Y) for integer points Y (n x m), by exact gift
-    wrapping: pairs (primitive outer normal, contact point indices). With
-    upper, only the facets with a positive last normal coordinate, which
-    are connected across their ridges. None when Y spans no facet."""
-    m = Y.shape[1]
-    if m == 1:
-        return [((1,), np.flatnonzero(Y[:, 0] == Y[:, 0].max())),
-                ((-1,), np.flatnonzero(Y[:, 0] == Y[:, 0].min()))]
-    first = _first_facet(Y, upper)
-    if first is None:
-        return None
-    found = dict([first])
-    queue = [first]
-    ridges = set()
-    while queue:
-        N, C = queue.pop()
-        # ridges: facets of the contact set, projected along a normal axis
-        axis = next(i for i, x in enumerate(N) if x)
-        for _, R in _hull_facets(np.delete(Y[C], axis, axis=1)):
-            R = C[R]
-            if R.tobytes() in ridges:
-                continue
-            ridges.add(R.tobytes())
-            r = int(R[0])
-            M = _normals(_flat_basis(Y[R] - Y[r]) + [N], m)[0]
-            if int_matmul(Y[C] - Y[r], [M]).max() > 0:   # turn away from the facet
-                M = [-x for x in M]
-            N2 = _rotate(Y, r, N, M)
-            if N2 is None or N2 in found or (upper and N2[-1] <= 0):
-                continue
-            found[N2] = _contact(Y, r, N2)
-            queue.append((N2, found[N2]))
-    return list(found.items())
+    planes = sorted((tuple(Fraction(x, p * r[-1]) for x in r[1:-1]), Fraction(r[0], p * q * r[-1]))
+                    for r in rays if r[-1] > 0)
+    return [(c, tuple(-x for x in s)) for s, c in planes]
 
 
 def approximate_p(f: PLConcave, p: int, q: Optional[int] = None) -> PLConcave:
@@ -505,10 +375,15 @@ def approximate_p(f: PLConcave, p: int, q: Optional[int] = None) -> PLConcave:
     on the returned object rather than raised.
 
     All of it is integer work: piece_minima gives f = N/S on the whole grid
-    at once, the rounded values are ceil(N p / S) by floor division, and the
-    envelope's facets come from an exact integer hull. Arrays are int64
-    while a bound on every intermediate stays below 2**62 and Python ints
-    (dtype=object) past it, so no step rounds.
+    at once, the rounded values are ceil(N p / S) by floor division, and
+    the envelope's pieces are the vertices of its cone of supporting planes
+    (_upper_hull_planes), found by the polytope layer's double description
+    with the grid points added as cutting planes. Pieces are sorted by
+    -Lambda ascending in every dimension. A grid that does not affinely
+    span the domain (a collinear 2-D grid, a single 1-D point) raises
+    InconsistentInputs. Arrays are int64 while a bound on every
+    intermediate stays below 2**62 and Python ints (dtype=object) past it,
+    so no step rounds.
     """
     if p < 1:
         raise InconsistentInputs("p must be a positive integer")

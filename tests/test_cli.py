@@ -173,6 +173,29 @@ def test_approx_cli():
     assert doc["audit"]["points_below_f"] == 0
 
 
+def test_approx_1d_pieces_sorted_by_slope():
+    # 1-D pieces come in the higher-dimensional order, s = -slope ascending;
+    # they once came by x ascending, the reverse of this list
+    code, out, _ = run_cli(["approx", "--preset", "sl2", "--f", "pl:0,1/4;1,1", "--p", "2"])
+    assert code == 0
+    pieces = [(x["c"]["fraction"], [s["fraction"] for s in x["slope"]])
+              for x in json.loads(out)["pieces"]]
+    assert pieces == [("10", ["4"]), ("11/8", ["1"]), ("0", ["0"])]
+
+
+def test_approx_single_point_1d_grid_exit_code(tmp_path):
+    # [0, 1/10] at q = 4 holds one grid point. Like a collinear 2-D grid it
+    # spans no envelope; it once printed one constant piece.
+    doc = tmp_path / "point.json"
+    doc.write_text(json.dumps({"root_system": {"catalog": "A1"},
+                               "polytope": {"vertices": [[0], ["1/10"]]}}))
+    code, out, _ = run_cli(["approx", "--input", str(doc), "--f", "linear:1", "--p", "1"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "InconsistentInputs",
+                                        "message": "could not construct the upper envelope",
+                                        "exit_code": 2}
+
+
 def test_filtration_tiny_negative_slope_exit_code():
     # -1e-10 passed the old float chamber test and printed 21 violations
     for f in ("linear:-1/10000000000", "pl:0,1;1,-1/10000000000"):

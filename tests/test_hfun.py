@@ -183,3 +183,35 @@ def test_two_rho_outside_domain(rs_a1):
     f = gcdeg.pl_concave(rs_a1, seg, f_pieces)
     with pytest.raises(TwoRhoOutsideDomain):
         h_plfunction(rs_a1, seg, f)
+
+
+def test_h_of_approximation_within_one_over_p():
+    """|H(f_p) - H(f)| <= 1/p on both SO(4) presets. Where
+    0 <= f_p - f <= 1/p (exact on the approximation grid), L = f(2rho) and
+    S each grow by at most 1/p, so H = L - S moves by at most 1/p. An f_p
+    with a slope outside the chamber (ROADMAP item 5) is rejected by
+    h_plfunction; such cases are counted, not filtered out of the data."""
+    from gcdeg import approximate_p
+    from gcdeg.cli import build_from_doc
+    from gcdeg.presets import get_preset
+    rng = np.random.default_rng(19)
+    accepted, rejected = {}, 0
+    for name in ("so4-case1", "so4-case2"):
+        rs, poly, _ = build_from_doc(get_preset(name))
+        accepted[name] = 0
+        for _ in range(8):
+            pieces = []
+            for _ in range(3):
+                s, t = (Fraction(int(x), 4) for x in rng.integers(0, 9, 2))
+                pieces.append((Fraction(int(rng.integers(-8, 9)), 4), ((s + t) / 2, (t - s) / 2)))
+            f = pl_concave(rs, poly, pieces)
+            hf = h_plfunction(rs, poly, f).h
+            for p in (3, 5):
+                try:
+                    hfp = h_plfunction(rs, poly, approximate_p(f, p)).h
+                except NotDominantPiece:
+                    rejected += 1
+                    continue
+                accepted[name] += 1
+                assert abs(hfp - hf) <= 1 / p, (name, pieces, p, hfp - hf)
+    assert min(accepted.values()) >= 1, (accepted, rejected)

@@ -1,5 +1,6 @@
 """Exact polytope construction, triangulation, and lattice points."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -141,9 +142,18 @@ def test_lattice_points_quad(case1_poly):
     assert len(pts) == len(direct)
 
 
-def test_lattice_points_custom_lattice(seg3):
+def test_lattice_points_custom_lattice(seg3, case1_poly):
     pts = lattice_points(seg3, 1, lattice=[[Fraction(1, 2)]])
     assert [p[0] for p in pts] == [Fraction(k, 2) for k in range(7)]
+    # a skewed 2-D basis against a direct Fraction scan; the coefficients of
+    # points of 2 P stay within 18 in absolute value
+    basis = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 3), Fraction(2, 3)]]
+    for k in (1, 2):
+        scan = (tuple(a * u + b * v for u, v in zip(*basis))
+                for a, b in itertools.product(range(-30, 31), repeat=2))
+        direct = sorted(y for y in scan if case1_poly.contains(tuple(c / k for c in y)))
+        assert len(direct) >= 17
+        assert lattice_points(case1_poly, k, lattice=basis) == direct
 
 
 @settings(max_examples=60, deadline=None)

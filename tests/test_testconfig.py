@@ -14,7 +14,7 @@ from gcdeg import (ComponentOutsidePolytope, InconsistentInputs, NotDominant,
                    build_polytope, build_root_system, check_superadditive,
                    check_table, filtration_table, from_vector, lattice_points,
                    pl_concave, semivaluation_eval, table_from_values)
-from gcdeg._numeric import int_points, mat_rank, solve_exact, to_exact
+from gcdeg._numeric import int_matmul, int_points, mat_rank, solve_exact, to_exact
 from gcdeg.testconfig import piece_minima
 
 # slope coefficients in chamber coordinates: lam = (s + t, t - s)/2 is
@@ -428,9 +428,9 @@ def _hull_cases(rng):
 
 
 def test_upper_hull_planes_match_qhull():
-    """The exact gift-wrapping envelope returns the same pieces as Qhull
-    with exact snapping on random, wide-range, affine, plateau, constant
-    and coplanar-rich heights over 2-D and 3-D grids."""
+    """The exact cone envelope returns the same pieces as Qhull with exact
+    snapping on random, wide-range, affine, plateau, constant and
+    coplanar-rich heights over 2-D and 3-D grids."""
     from gcdeg.testconfig import _upper_hull_planes
     rng = np.random.default_rng(11)
     seen = set()
@@ -443,9 +443,11 @@ def test_upper_hull_planes_match_qhull():
 
 def test_upper_hull_planes_collinear_grid_raises():
     from gcdeg.testconfig import _upper_hull_planes
-    P = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=np.int64)
-    with pytest.raises(InconsistentInputs):
-        _upper_hull_planes(P, np.array([0, 2, 1, 0], dtype=np.int64), 1, 1)
+    grids = [([[0, 0], [1, 1], [2, 2], [3, 3]], [0, 2, 1, 0]),
+             ([[0]], [5])]                         # a single point on a line
+    for P, G in grids:
+        with pytest.raises(InconsistentInputs):
+            _upper_hull_planes(np.array(P, dtype=np.int64), np.array(G, dtype=np.int64), 1, 1)
 
 
 def test_approximation_sandwich_3d():
@@ -485,9 +487,9 @@ def _brute_force_pieces(P, G, q, p):
 
 
 def test_upper_hull_planes_near_ties_match_brute_force():
-    """Heights 10**12 times an affine function plus small noise make the
-    gift-wrapping ratios agree to about 12 digits, so the exact integer
-    tie-break picks each facet; checked against an exact brute force."""
+    """Heights 10**12 times an affine function plus small noise give
+    supporting planes whose slopes agree to about 12 digits; only exact
+    integer arithmetic tells them apart. Checked against a brute force."""
     from gcdeg.testconfig import _upper_hull_planes
     rng = np.random.default_rng(13)
     tri = build_polytope(vertices=[[0, 0], [2, 0], [0, 2]])
@@ -498,3 +500,50 @@ def test_upper_hull_planes_near_ties_match_brute_force():
             a = rng.integers(1, 9, poly.dim)
             G = 10 ** 12 * (P @ a) + rng.integers(-3, 4, len(P))
             assert _upper_hull_planes(P, G, k, 2) == _brute_force_pieces(P, G, k, 2)
+
+
+def _hull_cases_1d(rng):
+    """(name, integer points, heights, q, p) on 1-D grids."""
+    seg = build_polytope(vertices=[[0], [3]])
+    for k in (1, 3, 5):
+        P, _ = int_points(lattice_points(seg, k), 1)
+        n, x = len(P), P[:, 0]
+        q, p = k, int(rng.integers(1, 4))
+        a = int(rng.integers(-3, 4))
+        yield "random", P, rng.integers(-5, 6, n), q, p
+        yield "affine", P, a * x + 2, q, p
+        yield "plateau", P, np.minimum(a * x + 1, 3), q, p
+        yield "constant", P, np.full(n, 4), q, p
+        yield "near-tie", P, 10 ** 12 * (abs(a) + 1) * x + rng.integers(-3, 4, n), q, p
+
+
+def test_upper_hull_planes_1d_match_brute_force():
+    """1-D grids take the same cone path as higher dimensions; random,
+    affine, plateau, constant and near-tie heights against the brute force."""
+    from gcdeg.testconfig import _upper_hull_planes
+    rng = np.random.default_rng(14)
+    for name, P, G, q, p in _hull_cases_1d(rng):
+        assert _upper_hull_planes(P, G, q, p) == _brute_force_pieces(P, G, q, p), (name, len(P))
+
+
+def test_upper_hull_planes_python_int_path_matches_brute_force(monkeypatch):
+    """Heights near 2**62 push the cone rows past int64: every generator
+    evaluation runs on Python ints and the pieces stay exact."""
+    import gcdeg.testconfig as tc
+    dtypes = []
+
+    def spy(a, rows):
+        out = int_matmul(a, rows)
+        dtypes.append(out.dtype)
+        return out
+    monkeypatch.setattr(tc, "int_matmul", spy)
+    rng = np.random.default_rng(15)
+    seg = build_polytope(vertices=[[0], [3]])
+    tri = build_polytope(vertices=[[0, 0], [2, 0], [0, 2]])
+    for poly, k in ((seg, 2), (tri, 2)):
+        P, _ = int_points(lattice_points(poly, k), poly.dim)
+        slope = rng.integers(1, 9, poly.dim)
+        G = np.array([2 ** 62 - 2 ** 40 * int(h) + int(e)
+                      for h, e in zip(P @ slope, rng.integers(-3, 4, len(P)))], dtype=object)
+        assert tc._upper_hull_planes(P, G, k, 2) == _brute_force_pieces(P, G, k, 2)
+    assert dtypes and all(d == object for d in dtypes)
