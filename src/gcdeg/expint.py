@@ -10,8 +10,12 @@ a confluent divided difference of exp with node c_i repeated beta_i + 1 times
 exponential of a bidiagonal Opitz matrix, which holds the divided difference
 of every contiguous window of its node chain and is stable for clustered,
 tiny, or large nodes alike; no series/closed-form branch switch is needed.
-The integrals of a simplex that differ only in beta_1 and beta_2 share one
-chain. Arbitrary simplices reduce to the standard one by an affine map.
+Those exponentials are Taylor series in batched matmuls (Paterson-Stockmeyer,
+scaling and squaring; no solve), with a degree that grows with the chain;
+every window of chains of up to 40 nodes was within 2.4e-14 relative of a
+60-digit reference (_expm_stack). The integrals of a simplex that differ
+only in beta_1 and beta_2 share one chain. Arbitrary simplices reduce to the
+standard one by an affine map.
 
 Sums over simplices and monomials run in a fixed order with compensated
 accumulation, so results are bit-reproducible.
@@ -20,7 +24,7 @@ accumulation, so results are bit-reproducible.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -52,50 +56,93 @@ class RegionMoments:
         return s - np.outer(b, b)
 
 
-# Pade-13 scaling-and-squaring constants (Higham 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Taylor degrees of the kernel, as (longest chain, p, q): a stack of m x m
+# matrices takes the first row with m <= longest chain, and longer chains
+# take p = q = ceil(sqrt(m)); the series runs through degree K = p q - 1.
+_DEGREES = ((12, 4, 5), (20, 5, 5), (28, 5, 6), (36, 6, 6), (42, 6, 7), (49, 7, 7))
+_THETA = 0.5
+# matrix entries per chunk of a stack: the chunk's p + q + 2 work stacks stay
+# small and in cache, whatever the stack's length
+_CHUNK = 2 ** 14
+
+
+@lru_cache(maxsize=None)
+def _taylor_blocks(p: int, q: int) -> np.ndarray:
+    """Row j: the Taylor coefficients 1/(j p + i)!, i < p."""
+    out = np.array([[1.0 / factorial(j * p + i) for i in range(p)] for j in range(q)])
+    out.flags.writeable = False    # shared by every caller of the cache
+    return out
 
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack (B, m, m), Pade-13 scaling-squaring.
+    """Matrix exponential of a stack (B, m, m): a Taylor series by
+    Paterson-Stockmeyer, with scaling and squaring; matmuls only.
 
-    One scaling power is chosen for the whole stack, so the evaluation is a
-    fixed sequence of batched matmuls: deterministic and fast for the many
-    small bidiagonal matrices this module generates.
+    One scaling power 2^s, for the whole stack, brings the largest row sum
+    to theta = 1/2 or below. The powers A^i, i < p, are stacked once; block
+    j of the degree-K series, Q_j = sum_i A^i / (j p + i)!, comes for all
+    q blocks from one GEMM over the flattened stack, and the series is
+    Horner's rule in A^p on the blocks (Paterson & Stockmeyer 1973). Then s
+    squarings. No step depends on the data, so the evaluation is a fixed
+    sequence of batched matmuls: deterministic, with no solve. Long stacks
+    run in chunks of _CHUNK entries; each matrix's result is the same.
 
-    The scaled norm is held below theta(m) = min(theta_13, 8 / m). Entry
-    (i, j) of an Opitz matrix's exponential is a divided difference of
-    order j - i, and the Pade error in it, relative to its value, grows
-    with that order; each squaring builds a window of the result from
-    windows of about half its order. On 264 random chains (m = 2..32, 36,
-    40; nodes spread or clustered within +-0.5 to +-30) every window was
-    within 4.3e-14 of a 60-digit reference up to m = 32 and 6.8e-14 at
-    m = 36 and 40; with theta_13 alone the worst window was off by 2e-1
-    at m = 31.
+    K grows with m. For an Opitz matrix J with nodes in [-X, X] and
+    n = 2^s, T(J/n)^n = exp(J) - n exp(J - J/n) r(J/n) + ..., r the series
+    remainder. Entry (i, j) is a divided difference of order o = j - i,
+    so its relative error is about
+
+        n * sum_{l <= min(o, K + 1)} C(o, l) n^-l rho^(K+1-l) / (K+1-l)!,
+
+    rho = X / n; term l comes from the l-th derivative of the remainder.
+    A fixed degree fails on long chains (K = 24 at theta = min(2, 8/m):
+    1.3e-10 at m = 31). Each row of _DEGREES is the smallest p q - 1 whose
+    estimate stays below 2^-53 at every X on a 0.05 grid up to 40 and at
+    each scaling threshold. Past 36 nodes K + 1 >= m is enough: p = q = 7
+    holds to m = 49 and p = q = 8 to m = 66. A squaring doubles a rounding
+    error, so a smaller theta costs accuracy as well as time; a larger one
+    needs a longer series, and a negative node's series cancels about
+    e^(2 theta)-fold.
+
+    Worst relative window error against a 60-digit reference. "test" is
+    test_every_window_against_reference's chains. "random" is 560 chains
+    with nodes spread or clustered within +-0.5 to +-30, or near-constant
+    at +-30, +-8.5, +-1.9 or 0. "placed" is 560 constant or evenly spaced
+    chains with X at a scaling threshold.
+
+        m        test      random    placed
+        1        2.2e-15   3.8e-15   5.5e-15
+        2-8      1.5e-14   1.6e-14   8.1e-15
+        9-16     1.5e-14   1.8e-14   9.9e-15
+        17-24    2.1e-14   2.3e-14   1.0e-14
+        25-32    1.9e-14   2.4e-14   1.0e-14
+        33-40    1.8e-14   2.3e-14   1.1e-14
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[-1]
-    ident = np.eye(m)
+    p, q = next(((p, q) for top, p, q in _DEGREES if m <= top), (isqrt(m - 1) + 1,) * 2)
+    blocks = _taylor_blocks(p, q)
     norm = float(np.max(np.sum(np.abs(A), axis=-1))) if A.size else 0.0
-    theta = min(_THETA13, 8.0 / m)
-    s = max(0, int(np.ceil(np.log2(norm / theta))) if norm > theta else 0)
-    A = A / (2.0 ** s)
-    b = _PADE13
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
+    s = int(np.ceil(np.log2(norm / _THETA))) if norm > _THETA else 0
+    out = np.empty_like(A)
+    step = max(1, _CHUNK // (m * m))
+    for lo in range(0, len(A), step):
+        P = np.empty((p,) + A[lo:lo + step].shape)
+        P[0] = np.eye(m)
+        np.multiply(A[lo:lo + step], 2.0 ** -s, out=P[1])
+        for i in range(2, p):
+            np.matmul(P[i - 1], P[1], out=P[i])
+        Ap = P[-1] @ P[1]
+        Q = (blocks @ P.reshape(p, -1)).reshape((q,) + P.shape[1:])
+        del P
+        R = Q[-1]
+        for j in range(q - 2, -1, -1):
+            R = R @ Ap
+            R += Q[j]
+        for _ in range(s):
+            R = R @ R
+        out[lo:lo + step] = R
+    return out
 
 
 def _opitz_exp(chains: np.ndarray) -> np.ndarray:
@@ -337,11 +384,10 @@ class MomentEngine:
             acc = np.zeros(self.lin.shape[1:])
             for i, x in enumerate(lamf):
                 acc = acc + self.lin[i] * x
-        nodes = acc.ravel()
-        vals = np.zeros(plan.count + 1)
-        for gather, sel, k, i, j in plan.groups:
-            vals[sel] = _opitz_exp(nodes[gather])[k, i, j]
-        with np.errstate(**_QUIET):
+            nodes = acc.ravel()
+            vals = np.zeros(plan.count + 1)
+            for gather, sel, k, i, j in plan.groups:
+                vals[sel] = _opitz_exp(nodes[gather])[k, i, j]
             for w in plan.weights:
                 vals = vals * w
             parts = self.coef[:, :, None] * vals[plan.slot]
@@ -351,9 +397,8 @@ class MomentEngine:
                                   initial=0.0)
             if np.any((peak > 0) & (np.abs(s0) < _CANCEL_LIMIT * peak)):
                 raise PrecisionLoss("cancellation in z-moment")
-        growth = np.exp(acc[:, -1])
         with np.errstate(**_QUIET):
-            scale = self.absdet * growth
+            scale = self.absdet * np.exp(acc[:, -1])
             cols = [scale * s0]
             if orders >= 1:
                 # x-moments in chart coordinates, then y = v0 + B x.
@@ -393,8 +438,12 @@ def get_engine(region: Polytope, pi: Polynomial) -> MomentEngine:
 
 
 def region_moments(region: Polytope, pi: Polynomial, lam: Sequence[float]) -> RegionMoments:
-    """z, first and second unnormalized moments of pi e^{<lam,y>} over region."""
-    return get_engine(region, pi).moments(lam, orders=2)
+    """z, first and second unnormalized moments of pi e^{<lam,y>} over region;
+    PrecisionLoss when one of them is not a finite double."""
+    m = get_engine(region, pi).moments(lam, orders=2)
+    if not np.all(np.isfinite([m.z, *m.first, *(x for row in m.second for x in row)])):
+        raise PrecisionLoss(f"moments at lambda = {m.lam} are not finite (z = {m.z})")
+    return m
 
 
 def integrate_simplex(p: Polynomial, lam: Sequence[float], simplex) -> float:

@@ -5,8 +5,9 @@ vertices are the feasible basic solutions of every dim-subset of the
 halfspaces, facets of a vertex set are the hyperplanes through every
 dim-subset of the vertices, and the triangulation fans from the smallest
 vertex over facets charted and re-hulled one dimension down. All of it is
-Fraction arithmetic and exponential in the input size, so it is only fit
-for the small inputs the tests use.
+exact (basic solutions on integer rows, the rest on Fractions) and
+exponential in the input size, so it is only fit for the small inputs the
+tests use.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from gcdeg._numeric import dot, mat_rank, nullspace, solve_exact, to_exact, vec_exact
+from gcdeg._numeric import (dot, int_det, mat_rank, nullspace, scaled_ints, solve_exact,
+                            to_exact, vec_exact)
 from gcdeg.minimize import chamber_rays
 
 
@@ -25,17 +27,28 @@ def affine_rank(points):
     return mat_rank([[p[i] - base[i] for i in range(len(base))] for p in points[1:]])
 
 
+def _basic_solutions(halfspaces, dim):
+    """The feasible basic solution of every dim-subset of the halfspaces
+    with a unique one, in subset order (a point may repeat). Denominators
+    are cleared once for the whole set, so each solution is Cramer's rule
+    on integers, x = num / den with den > 0, and feasibility compares
+    integer numerators: <N, num> <= B den."""
+    rows, _ = scaled_ints([list(n) + [b] for n, b in halfspaces])
+    for subset in itertools.combinations(rows, dim):
+        mat = [r[:dim] for r in subset]
+        den = int_det(mat)
+        if den == 0:
+            continue
+        num = [int_det([r[:i] + [r[dim]] + r[i + 1:dim] for r in subset]) for i in range(dim)]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(sum(a * x for a, x in zip(r, num)) <= r[dim] * den for r in rows):
+            yield tuple(Fraction(x, den) for x in num)
+
+
 def basic_feasible_points(halfspaces, dim):
     """All feasible basic solutions (extreme point candidates), sorted."""
-    pts = {}
-    for subset in itertools.combinations(range(len(halfspaces)), dim):
-        rows = [list(halfspaces[i][0]) for i in subset]
-        if mat_rank(rows) != dim:
-            continue
-        x = solve_exact(rows, [halfspaces[i][1] for i in subset])
-        if x is not None and all(dot(n, x) <= b for n, b in halfspaces):
-            pts[x] = True
-    return sorted(pts)
+    return sorted(set(_basic_solutions(halfspaces, dim)))
 
 
 def _unit(i, dim, sign=1):
@@ -45,7 +58,7 @@ def _unit(i, dim, sign=1):
 def recession_nonzero(halfspaces, dim):
     hs = [(n, Fraction(0)) for n, _ in halfspaces]
     box = [(_unit(i, dim, s), Fraction(1)) for i in range(dim) for s in (1, -1)]
-    return any(any(p) for p in basic_feasible_points(hs + box, dim))
+    return any(any(p) for p in _basic_solutions(hs + box, dim))
 
 
 def normalize_halfspace(n, b):

@@ -8,6 +8,7 @@ rank-4 product boxes, the moments of their rank-1 and rank-2 factors.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 from scipy.linalg import expm as scipy_expm
 
-from gcdeg import (DegreeCapExceeded, InconsistentInputs, McConfig,
+from gcdeg import (DegreeCapExceeded, InconsistentInputs, McConfig, PrecisionLoss,
                    RootSystemSpec, build_polytope, build_root_system,
                    dh_density, get_engine, h_vector, integrate_region,
                    integrate_simplex, mc_integrate, region_moments,
@@ -26,6 +27,7 @@ from gcdeg._poly import Polynomial
 from gcdeg.cli import build_from_doc
 from gcdeg.expint import _expm_stack, _opitz_exp
 from gcdeg.polytope import _simplex_volume
+from gcdeg.presets import get_preset
 
 from conftest import dd_exp_reference
 
@@ -63,19 +65,29 @@ def test_divided_difference_small_cases():
 
 
 def _window_chains():
-    """Node chains for m = 2..32 at scales 0.5, 3, 10 and 30, half of them
-    spread over [-scale, scale] and half clustered or confluent (a few
-    centres, each node on one of them or 1e-9 to 1e-5 times the scale off
-    it)."""
+    """(id, chain) pairs. Chains of m = 2..40 nodes at scales 0.5, 3, 10 and
+    30, half of them spread over [-scale, scale] and half clustered or
+    confluent (a few centres, each node on one of them or 1e-9 to 1e-5
+    times the scale off it); then single nodes at +-0.5, +-3, +-5 and +-30,
+    and chains of m = 2 and 3 at scale 30, spread or confluent at +-30.
+    A kernel scaled for the norm alone misses the single nodes above its
+    Taylor bound; a series of fixed degree misses the long chains."""
     rng = np.random.default_rng(8)
-    for m in range(2, 33):
+    for m in range(2, 41):
         scale = (0.5, 3.0, 10.0, 30.0)[m // 2 % 4]
         if m % 2:
-            yield rng.uniform(-scale, scale, m)
+            yield f"m{m}", rng.uniform(-scale, scale, m)
         else:
             centres = rng.uniform(-scale, scale, rng.integers(1, 4))
             offsets = rng.choice([0.0, 1e-9, 1e-7, 1e-5], m) * rng.normal(size=m) * scale
-            yield rng.choice(centres, m) + offsets
+            yield f"m{m}", rng.choice(centres, m) + offsets
+    for x in (0.5, 3.0, 5.0, 30.0):
+        for sign in (1, -1):
+            yield f"m1-x{sign * x:g}", np.array([sign * x])
+    for m in (2, 3):
+        yield f"m{m}-spread30", rng.uniform(-30.0, 30.0, m)
+        for x in (30.0, -30.0):
+            yield f"m{m}-x{x:g}", np.full(m, x)
 
 
 # A chain of the B2xB2 box [0,4]^4 at slope (0.3, 0.1, 0.2, 0.05): Pade-13
@@ -83,7 +95,7 @@ def _window_chains():
 B2XB2_CHAIN = [0.0, 1.2] + [2.0] * 4 + [2.4] * 3 + [2.6] * 14
 
 
-@pytest.mark.parametrize("chain", [pytest.param(c, id=f"m{len(c)}") for c in _window_chains()]
+@pytest.mark.parametrize("chain", [pytest.param(c, id=name) for name, c in _window_chains()]
                          + [pytest.param(np.array(B2XB2_CHAIN), id="b2xb2")])
 def test_every_window_against_reference(chain):
     """Entry (i, j) of the exponential of a chain's Opitz matrix is the
@@ -146,6 +158,19 @@ def test_region_moments_sl2(rs_a1, seg3):
     assert m.z == pytest.approx(36.0, rel=1e-14)
     assert m.first[0] == pytest.approx(81.0, rel=1e-14)
     assert m.barycenter()[0] == pytest.approx(2.25, rel=1e-14)
+
+
+def test_region_moments_overflow_is_typed_error():
+    # at lambda = 400 on [0, 3] z is about e^1200: the kernel's squarings
+    # overflow, and region_moments once returned z = inf, first = (nan,)
+    # with a raw overflow warning
+    rs, region, _ = build_from_doc(get_preset("sl2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PrecisionLoss) as err:
+            region_moments(region, dh_density(rs), (400.0,))
+    assert err.value.exit_code == 5
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_region_moments_unit_square():
