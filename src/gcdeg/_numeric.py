@@ -1,9 +1,9 @@
 """Number helpers shared across the package.
 
-Coordinates are kept as exact `Fraction`s whenever the caller supplied exact
-data (int, Fraction, or a string like "3/2" or "0.25"); floats are allowed for
-irrational root systems and are tracked with an exactness flag so downstream
-code can pick exact or floating paths.
+Every coordinate is kept as an exact `Fraction`: ints, Fractions and strings
+like "3/2" or "0.25" as written, floats as their exact binary values.
+`is_exact_input` records whether a datum was written exactly, which decides
+the `rational` flags and the float-slope chamber tolerance downstream.
 """
 
 from fractions import Fraction

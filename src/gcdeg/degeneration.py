@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._numeric import solve_exact, to_exact
+from ._numeric import solve_exact
 from .minimize import KeReport, MinimizerReport
 from .rootsys import RootSystem
 
@@ -39,22 +39,18 @@ class StabilityVerdict:
     notes: Tuple[str, ...] = ()
 
 
-def _in_span_exact(alpha, basis) -> bool:
+def _in_span(alpha, basis) -> bool:
     """alpha in span(basis), exact rational test."""
     if not basis:
-        return all(to_exact(x) == 0 for x in alpha)
-    dim = len(alpha)
-    rows = [[to_exact(basis[j][i]) for j in range(len(basis))] for i in range(dim)]
-    return solve_exact(rows, [to_exact(x) for x in alpha]) is not None
+        return all(x == 0 for x in alpha)
+    rows = [[b[i] for b in basis] for i in range(len(alpha))]
+    return solve_exact(rows, alpha) is not None
 
 
-def _in_span_float(alpha, basis, tol=1e-9) -> bool:
-    if not basis:
-        return all(abs(float(x)) <= tol for x in alpha)
-    A = np.asarray(basis, dtype=float).T
-    b = np.asarray([float(x) for x in alpha])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(np.linalg.norm(A @ sol - b)) <= tol
+def _lambda0_is_zero(rep: MinimizerReport) -> bool:
+    """Lambda0 = 0: every coordinate within tol_wall. The central fibre, the
+    verdict and the KE consistency check all decide it here."""
+    return all(abs(x) <= rep.options.tol_wall for x in rep.lambda0)
 
 
 def central_fibre_report(rs: RootSystem, rep: MinimizerReport) -> CentralFibreReport:
@@ -64,9 +60,7 @@ def central_fibre_report(rs: RootSystem, rep: MinimizerReport) -> CentralFibreRe
     levi = []
     split = []
     for alpha in rs.positive_roots:
-        member = (_in_span_exact(alpha, active_roots) if rs.exact
-                  else _in_span_float(alpha, active_roots))
-        (levi if member else split).append(alpha)
+        (levi if _in_span(alpha, active_roots) else split).append(alpha)
     # Partition sanity: every positive root is in exactly one part.
     assert len(levi) + len(split) == len(rs.positive_roots)
 
@@ -84,7 +78,7 @@ def central_fibre_report(rs: RootSystem, rep: MinimizerReport) -> CentralFibreRe
         "count": len(split),
     }
 
-    lam0_nonzero = any(abs(x) > rep.options.tol_wall for x in rep.lambda0)
+    lam0_nonzero = not _lambda0_is_zero(rep)
     h0 = {
         "cartan_diagonal_dim": rs.dim - (1 if lam0_nonzero else 0),
         "vector_line": tuple(rep.lambda0) if lam0_nonzero else None,
@@ -130,7 +124,7 @@ def stability_verdict(rs: RootSystem, rep: MinimizerReport,
     lam0 = np.asarray(rep.lambda0)
     scale = 1.0 + float(np.linalg.norm(lam0))
     zero_mult = [i for i, m in zip(rep.active_set, rep.multipliers) if abs(m) <= tol_kkt]
-    lam_zero = float(np.linalg.norm(lam0)) <= tol_wall
+    lam_zero = _lambda0_is_zero(rep)
     central = all(
         abs(sum(float(a) * x for a, x in zip(alpha, rep.lambda0))) <= tol_wall * scale
         for alpha in rs.simple_roots)
@@ -156,8 +150,7 @@ def consistency_with_ke(ke: KeReport, verdict: StabilityVerdict,
                         rep: MinimizerReport) -> bool:
     """When Lambda0 = 0 the two verdicts must agree: Stable <-> KählerEinstein,
     SemistableBoundary <-> ModifiedKSemistableOnly."""
-    lam_zero = all(abs(x) <= rep.options.tol_wall for x in rep.lambda0)
-    if not lam_zero:
+    if not _lambda0_is_zero(rep):
         return ke.verdict == "Unstable"
     if ke.verdict == "Stable":
         return verdict.kind == "KählerEinstein"

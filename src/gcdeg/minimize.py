@@ -82,16 +82,18 @@ class MinimizerReport:
 
 
 def chamber_rays(rs: RootSystem):
-    """Generators of the dominant cone: dual rays in the root span (t >= 0)
-    and a basis of the central lineality space (both signs allowed)."""
-    simple = [vec_exact(a) for a in rs.simple_roots]
+    """Generators of the dominant cone: the rays w_j = sum_k x_k Q alpha_k
+    with <alpha_i, w_j> = delta_ij (t >= 0), and a basis of the central
+    lineality space {<alpha_i, .> = 0} (both signs allowed)."""
+    simple = rs.simple_roots
+    funcs = [rs.functional(a) for a in simple]
     r = rs.rank
-    gram = [[dot(simple[i], simple[j]) for j in range(r)] for i in range(r)]
+    gram = [[dot(simple[i], funcs[j]) for j in range(r)] for i in range(r)]
     rays = []
     for i in range(r):
         e = [Fraction(int(j == i)) for j in range(r)]
         x = solve_exact(gram, e)
-        w = tuple(sum(x[k] * simple[k][c] for k in range(r)) for c in range(rs.dim))
+        w = tuple(sum(x[k] * funcs[k][c] for k in range(r)) for c in range(rs.dim))
         rays.append(w)
     central = nullspace(simple, rs.dim)
     return rays, central

@@ -207,7 +207,8 @@ def build_polytope(halfspaces: Optional[Sequence] = None,
 
     Provide halfspaces (pairs (normal, offset) for <normal,y> <= offset) or
     vertices, not both. With append_chamber=True the dominant-chamber
-    inequalities <alpha_i, y> >= 0 of the root system rs are appended, which
+    inequalities (alpha_i, y) = <Q alpha_i, y> >= 0 of the root system rs
+    (Q its Killing-form Gram matrix) are appended, which
     cuts a W-invariant polytope down to its dominant part P+.
     """
     if (halfspaces is None) == (vertices is None):
@@ -215,8 +216,6 @@ def build_polytope(halfspaces: Optional[Sequence] = None,
     if append_chamber:
         if rs is None:
             raise InconsistentInputs("append_chamber requires a root system")
-        if not rs.exact:
-            raise InconsistentInputs("chamber cuts need rational simple roots")
 
     if vertices is not None:
         vs = [vec_exact(v) for v in vertices]
@@ -227,7 +226,7 @@ def build_polytope(halfspaces: Optional[Sequence] = None,
 
     if append_chamber:
         for a in rs.simple_roots:
-            n = _int_row(tuple(-to_exact(x) for x in a))
+            n = _int_row(tuple(-x for x in rs.functional(a)))
             hs.append((tuple(map(Fraction, n)), Fraction(0)))
 
     status, p = try_build(hs)

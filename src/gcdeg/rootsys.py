@@ -1,15 +1,24 @@
-"""Root systems on a Euclidean coordinate space.
+"""Root systems with an exact Killing form.
 
-A root system is specified either by a catalog name (A1, A1xA1, A2, B2, G2,
-or "x"-joined direct sums such as A1xB2) or by explicit simple roots, plus an
-optional central torus rank appended as trailing zero coordinates. A1 uses the
-SL2 normalization with the positive root at coordinate 2; the literal name
-A1xA1 uses the SO4 frame with simple roots (1,-1) and (1,1).
+A root system is a catalog name (A1, A1xA1, A2, B2, G2, or "x"-joined direct
+sums such as A1xB2) or explicit simple roots, plus an optional central torus
+rank appended as trailing coordinates.
 
-All pairings are the standard dot product on R^dim. Coordinates supplied as
-int/Fraction/str stay exact rationals; float coordinates (needed for A2/G2 in
-an orthonormal frame) are carried exactly as binary rationals but marked
-non-exact for downstream formatting.
+Weights (roots, 2rho, the moment polytope) are coordinates in a basis of a*
+and slopes Lambda in the dual basis of a, so <Lambda, y> is the plain dot
+product. The Killing form is (x, y) = x^T Q y with Q the rational Gram matrix
+of the weight basis; it enters through `pair`, `reflect`, `is_dominant` and
+`functional` (x -> Q x, the slope pairing like (x, .)). A1 (positive root 2),
+A1xA1 (the SO4 frame (1,-1), (1,1)) and B2 ((1,-1), (0,1)) are orthonormal,
+Q = I, stored as None. A2 and G2 have no rational orthonormal frame and use
+fundamental-weight coordinates (Bourbaki, Lie Groups ch. VI, plates I and
+IX): A2 has (2,-1), (-1,2) with Q = (1/3)[[2,1],[1,2]], G2 (alpha_1 short)
+has (2,-1), (-3,2) with Q = [[2,3],[3,6]]. Sums take a block-diagonal Q,
+central coordinates an identity block.
+
+Every coordinate is an exact rational: floats in custom simple roots are read
+as their exact binary values (with Q = I), so an irrational frame fails the
+Cartan test with InvalidCartanDatum.
 """
 
 import math
@@ -17,24 +26,31 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ._numeric import dot, is_exact_input, mat_rank, solve_exact, to_exact, vec_exact
+from ._numeric import dot, mat_rank, solve_exact, vec_exact
 from ._poly import Polynomial
 from .errors import InvalidCartanDatum, UnknownCatalogName
 
 Vector = Tuple[Fraction, ...]
+Gram = Optional[Tuple[Vector, ...]]     # None: the identity
 
-_SQRT3 = math.sqrt(3.0)
 
-# Catalog simple roots, before central padding.
+def _q(rows) -> Tuple[Vector, ...]:
+    return tuple(vec_exact(r) for r in rows)
+
+
+# Catalog simple roots and Gram matrices.
 _CATALOG = {
-    "A1": ((Fraction(2),),),
-    "A1xA1": ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1))),
-    "A2": ((1.0, 0.0), (-0.5, _SQRT3 / 2)),
-    "B2": ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))),
-    "G2": ((1.0, 0.0), (-1.5, _SQRT3 / 2)),
+    "A1": (_q([[2]]), None),
+    "A1xA1": (_q([[1, -1], [1, 1]]), None),
+    "A2": (_q([[2, -1], [-1, 2]]), _q([["2/3", "1/3"], ["1/3", "2/3"]])),
+    "B2": (_q([[1, -1], [0, 1]]), None),
+    "G2": (_q([[2, -1], [-3, 2]]), _q([[2, 3], [3, 6]])),
 }
 
-_GEN_TOL = 1e-9
+
+def _apply(gram: Gram, v: Sequence) -> tuple:
+    """Q v; v itself when Q is the identity."""
+    return tuple(v) if gram is None else tuple(dot(row, v) for row in gram)
 
 
 @dataclass(frozen=True)
@@ -55,136 +71,83 @@ class RootSystem:
     positive_roots: Tuple[Vector, ...]
     two_rho: Vector
     cartan_matrix: Tuple[Tuple[int, ...], ...]
-    exact: bool
+    gram: Gram = None
+    # 2 Q alpha_i / (alpha_i, alpha_i): s_i y = y - <coroot_i, y> alpha_i
+    _coroots: Tuple[Vector, ...] = field(default=(), compare=False, repr=False)
     _dh: List = field(default_factory=list, compare=False, repr=False)
 
     # -- basic geometry --
 
+    def functional(self, v: Sequence) -> tuple:
+        """Q v: the slope whose dot product with y is the Killing form (v, y)."""
+        return _apply(self.gram, v)
+
     def pair(self, alpha: Sequence, y: Sequence):
-        return dot(alpha, y)
+        """Killing form (alpha, y)."""
+        return dot(self.functional(alpha), y)
 
     def is_dominant(self, y: Sequence, tol: float = 1e-12) -> bool:
-        return all(float(dot(a, y)) >= -tol for a in self.simple_roots)
+        return all(float(self.pair(a, y)) >= -tol for a in self.simple_roots)
 
     def reflect(self, i: int, y: Sequence) -> tuple:
-        a = self.simple_roots[i]
-        c = 2 * dot(a, y) / dot(a, a)
-        return tuple(x - c * ax for x, ax in zip(y, a))
+        c = dot(self._coroots[i], y)
+        return tuple(x - c * ax for x, ax in zip(y, self.simple_roots[i]))
 
     def root_coefficients(self, v: Sequence):
-        """Write v = sum c_i alpha_i over the simple roots.
+        """Write v = sum c_i alpha_i over the simple roots, exactly.
 
         Returns (coeffs, residual_norm): residual is the part of v outside the
-        root span. Exact when the root system is rational.
+        root span (a central vector, where Q is the identity).
         """
-        if self.exact:
-            cols = [vec_exact(a) for a in self.simple_roots]
-            rows = [[cols[j][i] for j in range(self.rank)] for i in range(self.dim)]
-            gram = [
-                [sum(rows[i][a] * rows[i][b] for i in range(self.dim)) for b in range(self.rank)]
-                for a in range(self.rank)
-            ]
-            rhs = [sum(rows[i][a] * to_exact(v[i]) for i in range(self.dim)) for a in range(self.rank)]
-            sol = solve_exact(gram, rhs)
-            if sol is None:
-                raise InvalidCartanDatum("degenerate simple-root Gram matrix")
-            recon = [sum(sol[j] * cols[j][i] for j in range(self.rank)) for i in range(self.dim)]
-            res = math.sqrt(sum(float(to_exact(v[i]) - recon[i]) ** 2 for i in range(self.dim)))
-            return tuple(sol), res
-        import numpy as np
-        A = np.array(self.simple_roots, dtype=float).T
-        b = np.array([float(x) for x in v])
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        res = float(np.linalg.norm(A @ sol - b))
-        return tuple(float(c) for c in sol), res
+        cols = self.simple_roots
+        v = vec_exact(v)
+        gram = [[dot(a, b) for b in cols] for a in cols]
+        sol = solve_exact(gram, [dot(a, v) for a in cols])
+        if sol is None:
+            raise InvalidCartanDatum("degenerate simple-root Gram matrix")
+        recon = [sum(c * a[i] for c, a in zip(sol, cols)) for i in range(self.dim)]
+        res = math.sqrt(sum(float(v[i] - recon[i]) ** 2 for i in range(self.dim)))
+        return sol, res
 
 
-def _pad_central(roots, central_rank: int):
-    if central_rank == 0:
-        return [tuple(r) for r in roots]
-    zero = tuple([Fraction(0)] * central_rank)
-    return [tuple(r) + zero for r in roots]
+def _direct_sum(blocks) -> Tuple[List[Vector], Gram]:
+    """Simple roots and block-diagonal Q of (simple roots, Q, dim) blocks; Q
+    is None when every block's is."""
+    total = sum(d for _, _, d in blocks)
+    roots, gram, offset = [], [], 0
+    for block_roots, g, d in blocks:
+        def pad(v):
+            return (Fraction(0),) * offset + tuple(v) + (Fraction(0),) * (total - offset - d)
+        roots += [pad(r) for r in block_roots]
+        gram += [pad(g[i] if g else [Fraction(int(i == j)) for j in range(d)]) for i in range(d)]
+        offset += d
+    return roots, None if all(g is None for _, g, _ in blocks) else tuple(gram)
 
 
-def _catalog_simple_roots(name: str):
-    if name in _CATALOG:
-        return [list(r) for r in _CATALOG[name]]
-    if "x" in name:
-        blocks = []
-        for part in name.split("x"):
-            if part not in _CATALOG or "x" in part:
-                raise UnknownCatalogName(f"unknown catalog name: {name!r}")
-            blocks.append(_CATALOG[part])
-        dims = [len(b[0]) for b in blocks]
-        total = sum(dims)
-        roots = []
-        offset = 0
-        for b, d in zip(blocks, dims):
-            for r in b:
-                row = [Fraction(0)] * total
-                for i, x in enumerate(r):
-                    row[offset + i] = x
-                roots.append(row)
-            offset += d
-        return roots
-    raise UnknownCatalogName(f"unknown catalog name: {name!r}")
-
-
-def _round_key(v, exact: bool):
-    if exact:
-        return tuple(to_exact(x) for x in v)
-    return tuple(round(float(x) / _GEN_TOL) for x in v)
-
-
-def _generate_roots(simple, exact: bool):
-    """Closure of the simple roots under simple reflections (finite Weyl orbit)."""
-    rank = len(simple)
-    dim = len(simple[0])
-
-    def refl(i, y):
-        a = simple[i]
-        c = 2 * dot(a, y) / dot(a, a)
-        return tuple(x - c * ax for x, ax in zip(y, a))
-
-    seen = {}
-    frontier = [tuple(r) for r in simple] + [tuple(-x for x in r) for r in simple]
-    for v in frontier:
-        seen[_round_key(v, exact)] = v
+def _generate_roots(cartan) -> List[Tuple[int, ...]]:
+    """Simple-root coefficients of every root: the closure of the simple
+    roots under s_i(c) = c - (sum_j c_j a_ji) e_i, in integers."""
+    rank = len(cartan)
+    frontier = [tuple(s * int(i == j) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    seen = set(frontier)
     guard = 0
     while frontier:
         guard += 1
         if guard > 64:
             raise InvalidCartanDatum("root generation did not close; datum is not crystallographic")
         new = []
-        for v in frontier:
+        for c in frontier:
             for i in range(rank):
-                w = refl(i, v)
-                k = _round_key(w, exact)
-                if k not in seen:
-                    seen[k] = w
+                w = list(c)
+                w[i] -= sum(cj * cartan[j][i] for j, cj in enumerate(c))
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
                     new.append(w)
         frontier = new
         if len(seen) > 4096:
             raise InvalidCartanDatum("root generation exploded; datum is not crystallographic")
-    return list(seen.values())
-
-
-def _is_positive(root, simple, exact: bool):
-    """A root is positive iff its simple-root coefficients are all >= 0."""
-    rank = len(simple)
-    dim = len(simple[0])
-    if exact:
-        rows = [[to_exact(simple[j][i]) for j in range(rank)] for i in range(dim)]
-        sol = solve_exact(rows, [to_exact(x) for x in root])
-        if sol is None:
-            return False
-        return all(c >= 0 for c in sol) and any(c > 0 for c in sol)
-    import numpy as np
-    A = np.array(simple, dtype=float).T
-    sol, *_ = np.linalg.lstsq(A, np.array([float(x) for x in root]), rcond=None)
-    if float(np.linalg.norm(A @ sol - np.array([float(x) for x in root]))) > 1e-7:
-        return False
-    return all(c >= -1e-9 for c in sol) and any(c > 1e-9 for c in sol)
+    return list(seen)
 
 
 def _sort_key(root):
@@ -199,42 +162,40 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         raise InvalidCartanDatum("central_rank must be >= 0")
 
     if spec.catalog is not None:
-        raw = _catalog_simple_roots(spec.catalog)
         name = spec.catalog
+        parts = [name] if name in _CATALOG else name.split("x")
+        if any(p not in _CATALOG for p in parts):
+            raise UnknownCatalogName(f"unknown catalog name: {name!r}")
+        blocks = [_CATALOG[p] for p in parts]
     else:
-        raw = [list(r) for r in spec.simple_roots]
         name = "custom"
-        if not raw:
+        blocks = [(_q(spec.simple_roots), None)]
+        if not blocks[0][0]:
             raise InvalidCartanDatum("at least one simple root required")
-        if len({len(r) for r in raw}) != 1:
+        if len({len(r) for r in blocks[0][0]}) != 1:
             raise InvalidCartanDatum("ragged simple roots")
+    c = spec.central_rank
+    simple, gram = _direct_sum([(b, g, len(b[0])) for b, g in blocks] + [((), None, c)])
+    rank, dim = len(simple), len(simple[0])
 
-    exact = all(is_exact_input(x) for r in raw for x in r)
-    simple = [vec_exact(r) if exact else tuple(float(x) for x in r) for r in raw]
-    rank = len(simple)
-    root_dim = len(simple[0])
+    if mat_rank(simple) != rank:
+        raise InvalidCartanDatum("simple roots are linearly dependent")
 
-    # Simple roots must be linearly independent.
-    if exact:
-        if mat_rank(simple) != rank:
-            raise InvalidCartanDatum("simple roots are linearly dependent")
-    else:
-        import numpy as np
-        if int(np.linalg.matrix_rank(np.array(simple, dtype=float), tol=1e-9)) != rank:
-            raise InvalidCartanDatum("simple roots are linearly dependent")
+    # Each simple root's functional Q alpha_i, formed once.
+    funcs = [_apply(gram, a) for a in simple]
+    coroots = [tuple(2 * x / dot(f, a) for x in f) for f, a in zip(funcs, simple)]
 
-    # Cartan integers: 2<ai,aj>/<aj,aj> integral, diagonal 2, off-diagonal <= 0,
+    # Cartan integers: 2(ai,aj)/(aj,aj) integral, diagonal 2, off-diagonal <= 0,
     # and a_ij * a_ji in {0,1,2,3}.
     cartan = []
     for i in range(rank):
         row = []
         for j in range(rank):
-            c = 2 * dot(simple[i], simple[j]) / dot(simple[j], simple[j])
-            cf = float(c)
-            ci = round(cf)
-            if abs(cf - ci) > 1e-9:
-                raise InvalidCartanDatum(f"Cartan number a[{i}][{j}] = {cf} is not an integer")
-            row.append(int(ci))
+            a_ij = dot(coroots[j], simple[i])
+            if a_ij.denominator != 1:
+                raise InvalidCartanDatum(
+                    f"Cartan number a[{i}][{j}] = {float(a_ij)} is not exactly an integer")
+            row.append(int(a_ij))
         cartan.append(tuple(row))
     for i in range(rank):
         if cartan[i][i] != 2:
@@ -246,65 +207,52 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
                 if cartan[i][j] * cartan[j][i] not in (0, 1, 2, 3):
                     raise InvalidCartanDatum("Cartan product outside {0,1,2,3}")
 
-    all_roots = _generate_roots(simple, exact)
-    positive = [r for r in all_roots if _is_positive(r, simple, exact)]
+    all_roots = _generate_roots(cartan)
+    positive = [r for r in all_roots if min(r) >= 0]
     if 2 * len(positive) != len(all_roots):
         raise InvalidCartanDatum("root set is not symmetric; datum invalid")
-    positive.sort(key=_sort_key)
-
-    simple_p = _pad_central(simple, spec.central_rank)
-    positive_p = _pad_central(positive, spec.central_rank)
-    dim = root_dim + spec.central_rank
-
-    two_rho = tuple(sum(r[i] for r in positive_p) for i in range(dim))
+    positive = sorted((tuple(sum(k * a[t] for k, a in zip(r, simple)) for t in range(dim))
+                       for r in positive), key=_sort_key)
 
     return RootSystem(
         name=name,
         dim=dim,
         rank=rank,
-        central_rank=spec.central_rank,
-        simple_roots=tuple(simple_p),
-        positive_roots=tuple(positive_p),
-        two_rho=two_rho,
+        central_rank=c,
+        simple_roots=tuple(simple),
+        positive_roots=tuple(positive),
+        two_rho=tuple(sum(r[t] for r in positive) for t in range(dim)),
         cartan_matrix=tuple(cartan),
-        exact=exact,
+        gram=gram,
+        _coroots=tuple(coroots),
     )
 
 
 def dh_density(rs: RootSystem) -> Polynomial:
-    """Duistermaat-Heckman density prod_{alpha in Phi+} <alpha, y>^2."""
+    """Duistermaat-Heckman density prod_{alpha in Phi+} (alpha, y)^2."""
     if rs._dh:
         return rs._dh[0]
     p = Polynomial.constant(rs.dim, 1)
     for alpha in rs.positive_roots:
-        lin = Polynomial.linear_form([to_exact(a) for a in alpha])
+        lin = Polynomial.linear_form(list(rs.functional(alpha)))
         p = p * lin * lin
     rs._dh.append(p)
     return p
 
 
 def dominant_representative(rs: RootSystem, y: Sequence) -> Tuple[tuple, Tuple[int, ...]]:
-    """Weyl-orbit representative in the closed dominant chamber.
+    """Weyl-orbit representative in the closed dominant chamber, exactly.
 
     Returns (vector, word); applying the simple reflections in word order to y
-    yields the representative. Exact for rational data.
+    yields the representative.
     """
-    cur = vec_exact(y) if rs.exact else tuple(float(x) for x in y)
+    cur = vec_exact(y)
     word = []
-    guard = 0
     while True:
-        neg = None
-        for i, a in enumerate(rs.simple_roots):
-            v = dot(a, cur)
-            if (v < 0) if rs.exact else (float(v) < -1e-12):
-                neg = i
-                break
+        neg = next((i for i, c in enumerate(rs._coroots) if dot(c, cur) < 0), None)
         if neg is None:
             return cur, tuple(word)
         cur = rs.reflect(neg, cur)
-        if rs.exact:
-            cur = vec_exact(cur)
         word.append(neg)
-        guard += 1
-        if guard > 10000:
+        if len(word) > 10000:
             raise InvalidCartanDatum("reflection walk did not terminate")

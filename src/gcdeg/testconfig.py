@@ -43,9 +43,9 @@ class PLConcave:
 
 
 def _outside_chamber(rs: RootSystem, lam, exact: bool) -> bool:
-    """True when lam pairs negatively with a simple root: exactly when the
-    roots and lam are exact, within a 1e-9 tolerance for float data."""
-    if exact and rs.exact:
+    """True when lam pairs negatively with a simple root: exactly when lam
+    is exact, within a 1e-9 tolerance for float data."""
+    if exact:
         return any(dot(alpha, lam) < 0 for alpha in rs.simple_roots)
     return min(sum(float(a) * float(x) for a, x in zip(alpha, lam))
                for alpha in rs.simple_roots) < -1e-9
@@ -94,8 +94,9 @@ def piece_minima(pieces: Sequence[Piece], P: np.ndarray, den: int) -> Tuple[np.n
 
     Denominators are cleared once: with the pieces scaled by ps,
     N = C*ps*den - P @ L.T and S = ps*den, then the row minimum. Each term
-    is int64 while a bound on it stays below 2**62, else Python ints
-    (float-derived data, e.g. A2/G2 slopes), so the difference cannot wrap."""
+    is int64 while a bound on it stays below 2**62, else Python ints (float
+    slopes read as their exact binary values have large denominators), so
+    the difference cannot wrap."""
     rows, ps = scaled_ints([(c,) + lam for c, lam in pieces])
     c = [[r[0] * den for r in rows]]
     n = int_array(c, len(rows), max_abs(c)) - int_matmul(P, [r[1:] for r in rows])
@@ -139,9 +140,11 @@ def _gamma_rank(values: Sequence[Fraction], rational: bool) -> Tuple[int, str]:
 def _root_coords(rs: RootSystem, P: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Simple-root coordinates of the points P (integer rows, one positive
     scale) and a class label per point: equal labels mean equal off-span
-    residuals. One exact Gram solve serves all points; float roots enter
-    as their exact binary values."""
-    roots = [vec_exact(a) for a in rs.simple_roots]
+    residuals. One exact Gram solve serves all points. The dot-product Gram
+    matrix is used, not the Killing form: any left inverse M of the roots
+    gives the same coordinates on the root span and the same residual
+    classes (p - q in the span), which is all the dominance test reads."""
+    roots = rs.simple_roots
     # c = M p with M = (A A^T)^-1 A; residual (I - A^T M) p
     gram = [[dot(a, b) for b in roots] for a in roots]
     cols = [solve_exact(gram, [a[i] for a in roots]) for i in range(rs.dim)]

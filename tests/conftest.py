@@ -7,7 +7,8 @@ before the package computed them; the comments on each constant name the
 method. The high-precision root finding is `so4_wall_reference` below, so
 acceptance criteria 1-2 re-derive the SO(4) constants on every run.
 `dd_exp_reference` is the high-precision reference for divided differences
-of exp.
+of exp, and `dd_exp_windows` extends one such pass to every window of a
+node chain.
 """
 
 import io
@@ -267,6 +268,31 @@ def dd_exp_reference(nodes, dps=60):
                 fact *= j + k + 1
             out.append(ec * total)
         return out
+
+
+def dd_exp_windows(nodes, dps=60):
+    """Every window W[i][k] = exp[x_i, ..., x_k] (k >= i) of `nodes`, as
+    lists W[i] of mpmath numbers indexed by k - i; it calls nothing in gcdeg.
+
+    Row 0 is `dd_exp_reference`; each later row follows from the divided
+    difference recurrence read backwards,
+    W[i+1][k] = W[i][k-1] + (x_k - x_i) W[i][k], which needs no division,
+    so confluent nodes need no special case. Each of the m - 1 steps can
+    multiply an absolute error by at most 1 + 2X (X half the node spread),
+    so m log10(1 + 2X) guard digits on row 0 and on the recurrence keep
+    `dps` digits in every window.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    m = len(nodes)
+    X = (max(nodes) - min(nodes)) / 2
+    guard = int(m * math.log10(1 + 2 * X)) + 1
+    with mpmath.workdps(dps + guard + int(2 * X / math.log(10)) + 10):
+        x = [mpmath.mpf(v) for v in nodes]
+        rows = [dd_exp_reference(nodes, dps + guard)]
+        for i in range(m - 1):
+            w = rows[-1]
+            rows.append([w[j] + (x[i + 1 + j] - x[i]) * w[j + 1] for j in range(m - 1 - i)])
+        return rows
 
 
 def run_cli(argv):

@@ -106,3 +106,23 @@ def test_h0_counting_identity(rs_so4, case1_poly, case2_poly):
         _, cf, _ = _pipeline(rs_so4, poly)
         assert (len(cf.levi_positive_roots) + len(cf.split_positive_roots)
                 == len(rs_so4.positive_roots))
+
+
+def test_lambda0_zero_decided_once(rs_so4):
+    """lambda0 = (8e-8, 8e-8) is zero in every coordinate within tol_wall
+    = 1e-7, though its Euclidean norm is not: the central fibre, the
+    verdict and the KE consistency check must all read it as zero."""
+    from gcdeg.minimize import MinimizerReport, MinimizeOptions, CoercivityReport, KeReport
+    rep = MinimizerReport(
+        lambda0=(8e-8, 8e-8), h_min=0.0, active_set=(0,), active_roots=((1.0, -1.0),),
+        multipliers=(0.3,), b_lambda0=(2.3, -0.3), grad_norm=0.0, kkt_residual=0.0,
+        iterations=1, face_visits=(), accepted_face=(0,),
+        coercivity=CoercivityReport(True, (), None), converged=True,
+        options=MinimizeOptions())
+    cf = central_fibre_report(rs_so4, rep)
+    assert cf.h0["vector_line"] is None
+    v = stability_verdict(rs_so4, rep, cf)
+    assert v.kind == "KählerEinstein" and v.flow_statement is None
+    ke = KeReport(verdict="Stable", b0=(2.3, -0.3), coefficients=(0.3, 0.0),
+                  off_span_residual=0.0, tol=1e-8)
+    assert consistency_with_ke(ke, v, rep)

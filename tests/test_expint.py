@@ -29,7 +29,7 @@ from gcdeg.expint import _expm_stack, _opitz_exp
 from gcdeg.polytope import _simplex_volume
 from gcdeg.presets import get_preset
 
-from conftest import dd_exp_reference
+from conftest import dd_exp_reference, dd_exp_windows
 
 UNIT_TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(1)))
@@ -101,10 +101,20 @@ def test_every_window_against_reference(chain):
     """Entry (i, j) of the exponential of a chain's Opitz matrix is the
     divided difference exp[x_i, ..., x_j], to 1e-13 relative."""
     got = _opitz_exp(chain[None])[0]
-    for i in range(len(chain)):
-        ref = np.array([float(v) for v in dd_exp_reference(list(chain[i:]))])
+    for i, row in enumerate(dd_exp_windows(list(chain))):
+        ref = np.array([float(v) for v in row])
         err = np.abs(got[i, i:] - ref) / ref
         assert err.max() <= 1e-13, (i, int(err.argmax()) + i, err.max())
+
+
+@pytest.mark.parametrize("name", ["m2", "m7", "m20", "m40", "m3-spread30", "m3-x-30"])
+def test_windows_match_per_start_series(name):
+    """The windows of one pass by recurrence agree with the series summed
+    afresh from each start node, to 1e-55 relative."""
+    chain = list(dict(_window_chains())[name])
+    for i, row in enumerate(dd_exp_windows(chain)):
+        ref = dd_exp_reference(chain[i:])
+        assert max(abs(a - b) / b for a, b in zip(row, ref)) <= 1e-55, i
 
 
 def test_expm_stack_matches_scipy():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdeg import (InvalidCartanDatum, RootSystemSpec, UnknownCatalogName,
-                   build_root_system, dh_density, dominant_representative)
+                   build_root_system, chamber_rays, dh_density, dominant_representative)
+from gcdeg._numeric import dot
 
 rationals = st.fractions(min_value=-8, max_value=8,
                          max_denominator=12)
@@ -49,9 +50,12 @@ def test_a2_g2_closures():
     assert len(a2.positive_roots) == 3
     g2 = build_root_system(RootSystemSpec(catalog="G2"))
     assert len(g2.positive_roots) == 6
-    # 2rho of A2 in the orthonormal frame is (1, sqrt 3)
-    assert a2.two_rho[0] == pytest.approx(1.0, abs=1e-12)
-    assert a2.two_rho[1] == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    # 2rho = 2 (w1 + w2) in fundamental-weight coordinates
+    assert a2.two_rho == g2.two_rho == (2, 2)
+    # A Q A^T is the Cartan Gram matrix; each Q alpha_i is a multiple of e_i
+    for rs, gram in ((a2, [[2, -1], [-1, 2]]), (g2, [[2, -3], [-3, 6]])):
+        assert [[rs.pair(a, b) for b in rs.simple_roots] for a in rs.simple_roots] == gram
+        assert [rs.functional(a)[1 - i] for i, a in enumerate(rs.simple_roots)] == [0, 0]
 
 
 def test_composite_catalog_names():
@@ -128,15 +132,37 @@ def test_dominant_representative_properties(v):
     assert cur == tuple(rep)
 
 
+CATALOG_CASES = [("A1", 0), ("A1xA1", 0), ("A2", 0), ("B2", 0), ("G2", 0),
+                 ("A1xB2", 0), ("A2xA1", 0), ("A1", 1)]
+
+
+@pytest.mark.parametrize("name, central", CATALOG_CASES,
+                         ids=[f"{n}+{c}" if c else n for n, c in CATALOG_CASES])
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(rationals, rationals))
-def test_b2_reflections_permute_roots(v):
-    rs = build_root_system(RootSystemSpec(catalog="B2"))
+@given(v=st.tuples(rationals, rationals, rationals))
+def test_reflections_permute_roots(name, central, v):
+    """Simple reflections permute the roots and fix the density exactly;
+    the chamber rays are dual to the simple roots."""
+    rs = build_root_system(RootSystemSpec(catalog=name, central_rank=central))
+    y = v[:rs.dim]
     roots = set(rs.positive_roots) | {tuple(-x for x in a)
                                       for a in rs.positive_roots}
+    pi = dh_density(rs)
     for i in range(rs.rank):
         for a in roots:
             assert tuple(rs.reflect(i, a)) in roots
+        assert pi.eval_exact(rs.reflect(i, y)) == pi.eval_exact(y)
+    rays, _ = chamber_rays(rs)
+    assert [[dot(a, w) for w in rays] for a in rs.simple_roots] == \
+        [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+
+
+def test_float_simple_roots_read_exactly():
+    # exact binary floats give B2; an orthonormal A2 frame has sqrt 3 in it
+    rs = build_root_system(RootSystemSpec(simple_roots=[[1.0, -1.0], [0.0, 1.0]]))
+    assert rs.cartan_matrix == ((2, -2), (-1, 2))
+    with pytest.raises(InvalidCartanDatum):
+        build_root_system(RootSystemSpec(simple_roots=[[1.0, 0.0], [-0.5, math.sqrt(3) / 2]]))
 
 
 def test_density_degree(rs_so4):

@@ -266,9 +266,8 @@ def test_check_table_matches_oracle_so4(rs_so4, case1_poly):
     assert got["missing"] and got == check_superadditive_oracle(tables[0], tables[1], half)
 
 
-def test_check_table_matches_oracle_a2_float_roots():
+def test_check_table_matches_oracle_a2():
     rs = build_root_system(RootSystemSpec(catalog="A2"))
-    assert not rs.exact
     poly = build_polytope(vertices=[[0, 0], [4, 0], [4, 4], [0, 4]])
     rng = np.random.default_rng(6)
     tables = [_random_table(rs, poly, k, rng) for k in (1, 2, 3)]
