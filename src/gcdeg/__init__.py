@@ -24,8 +24,8 @@ from .expint import (MomentEngine, RegionMoments, get_engine,
                      subdivide_simplex)
 from .hfun import (HBreakdown, h_plfunction, h_vector, normalization_volume)
 from .minimize import (CoercivityReport, KeReport, MinimizeOptions,
-                       MinimizerReport, chamber_rays, coercivity_check,
-                       ke_test, kkt_multipliers, minimize_h)
+                       MinimizerReport, coercivity_check, ke_test,
+                       kkt_multipliers, minimize_h)
 from .degeneration import (CentralFibreReport, StabilityVerdict,
                            central_fibre_report, consistency_with_ke,
                            stability_verdict)
@@ -51,7 +51,7 @@ __all__ = [
     "TwoRhoOutsideDomain", "Unbounded", "UnknownCatalogName",
     "UnknownSubcommand", "WeightedElement", "approximate_p",
     "build_polytope", "build_root_system", "central_fibre_report",
-    "chamber_rays", "check_superadditive", "check_table",
+    "check_superadditive", "check_table",
     "coercivity_check", "consistency_with_ke", "dh_density",
     "dominant_representative", "filtration_table", "from_vector",
     "get_engine", "get_preset", "grid_minimize", "h_plfunction", "h_vector",

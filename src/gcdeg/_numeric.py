@@ -60,6 +60,12 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def vec_str(v: Sequence) -> str:
+    """(a, b, ...) with frac_str for exact coordinates and fmt15 for floats."""
+    return "(" + ", ".join(frac_str(to_exact(x)) if is_exact_input(x) else fmt15(x)
+                           for x in v) + ")"
+
+
 # -- exact rational linear algebra (small systems only) ---------------------
 
 def mat_rref(rows: Sequence[Sequence[Fraction]]):

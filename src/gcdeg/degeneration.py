@@ -12,9 +12,6 @@ maximal torus acting on the limit.
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from ._numeric import solve_exact
 from .minimize import KeReport, MinimizerReport
 from .rootsys import RootSystem
 
@@ -39,14 +36,6 @@ class StabilityVerdict:
     notes: Tuple[str, ...] = ()
 
 
-def _in_span(alpha, basis) -> bool:
-    """alpha in span(basis), exact rational test."""
-    if not basis:
-        return all(x == 0 for x in alpha)
-    rows = [[b[i] for b in basis] for i in range(len(alpha))]
-    return solve_exact(rows, alpha) is not None
-
-
 def _lambda0_is_zero(rep: MinimizerReport) -> bool:
     """Lambda0 = 0: every coordinate within tol_wall. The central fibre, the
     verdict and the KE consistency check all decide it here."""
@@ -57,12 +46,13 @@ def central_fibre_report(rs: RootSystem, rep: MinimizerReport) -> CentralFibreRe
     active = rep.active_set
     active_roots = [rs.simple_roots[i] for i in active]
 
+    # A positive root is a Levi root when its simple-root coefficients vanish
+    # outside I0, i.e. it lies in the span of the active simple roots.
+    inactive = [i for i in range(rs.rank) if i not in active]
     levi = []
     split = []
-    for alpha in rs.positive_roots:
-        (levi if _in_span(alpha, active_roots) else split).append(alpha)
-    # Partition sanity: every positive root is in exactly one part.
-    assert len(levi) + len(split) == len(rs.positive_roots)
+    for alpha, coeffs in zip(rs.positive_roots, rs.positive_coefficients):
+        (split if any(coeffs[i] for i in inactive) else levi).append(alpha)
 
     horospherical = len(active) == 0
     cone_ineqs = [tuple(float(x) for x in a) for a in active_roots]
@@ -112,7 +102,6 @@ def stability_verdict(rs: RootSystem, rep: MinimizerReport,
     minimizer defines a genuine degeneration.
     """
     tol_kkt = rep.options.tol_kkt
-    tol_wall = rep.options.tol_wall
 
     if not rep.converged:
         return StabilityVerdict(kind="Indeterminate", flow_statement=None,
@@ -121,13 +110,10 @@ def stability_verdict(rs: RootSystem, rep: MinimizerReport,
         return StabilityVerdict(kind="Indeterminate", flow_statement=None,
                                 notes=("negative KKT multiplier",))
 
-    lam0 = np.asarray(rep.lambda0)
-    scale = 1.0 + float(np.linalg.norm(lam0))
     zero_mult = [i for i, m in zip(rep.active_set, rep.multipliers) if abs(m) <= tol_kkt]
     lam_zero = _lambda0_is_zero(rep)
-    central = all(
-        abs(sum(float(a) * x for a, x in zip(alpha, rep.lambda0))) <= tol_wall * scale
-        for alpha in rs.simple_roots)
+    # Lambda0 lies on every wall (minimize_h's active-set rule): it is central.
+    central = len(rep.active_set) == rs.rank
 
     if zero_mult:
         return StabilityVerdict(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import to_exact, vec_exact
+from ._numeric import to_exact, vec_exact, vec_str
 from .errors import NotDominant, NotDominantPiece, PrecisionLoss, TwoRhoOutsideDomain
 from .expint import get_engine
 from .polytope import Polytope, try_build
@@ -34,16 +34,6 @@ class HBreakdown:
     lam: Optional[Tuple[float, ...]] = None
     pl_pieces: Optional[int] = None
     inactive_pieces: Tuple[int, ...] = ()
-
-
-def _check_dominant(rs: RootSystem, lam: Sequence[float], what: str = "lambda"):
-    lamf = [float(x) for x in lam]
-    scale = max(1.0, max(abs(x) for x in lamf) if lamf else 1.0)
-    for a in rs.simple_roots:
-        if sum(float(ai) * xi for ai, xi in zip(a, lamf)) < -1e-9 * scale:
-            if what == "lambda":
-                raise NotDominant(f"{lam} is outside the closed dominant chamber")
-            raise NotDominantPiece(f"piece slope {lam} is outside the closed dominant chamber")
 
 
 def normalization_volume(rs: RootSystem, p_plus: Polytope) -> float:
@@ -63,7 +53,8 @@ def _tilted_volume(eng, lam: Tuple[float, ...]) -> float:
 
 def h_vector(rs: RootSystem, p_plus: Polytope, lam: Sequence[float]) -> HBreakdown:
     """h at the linear test configuration with dominant slope lam."""
-    _check_dominant(rs, lam)
+    if not rs.in_chamber(lam):
+        raise NotDominant(f"{vec_str(lam)} is outside the closed dominant chamber")
     pi = dh_density(rs)
     eng = get_engine(p_plus, pi)
     lamf = tuple(float(x) for x in lam)
@@ -93,13 +84,16 @@ def h_plfunction(rs: RootSystem, p_plus: Polytope, f) -> HBreakdown:
 
     Splits P+ into the cells where each piece attains the minimum and
     integrates e^{-f} pi cell by cell. Pieces whose cell has empty interior
-    contribute nothing and are reported as inactive.
+    contribute nothing and are reported as inactive. A piece that f's
+    constructor flagged outside the chamber (f.nondominant_pieces, decided by
+    RootSystem.in_chamber on the slope as given) raises NotDominantPiece.
     """
     pieces = f.pieces
     if not pieces:
         raise NotDominantPiece("PL function needs at least one piece")
-    for _, lam_a in pieces:
-        _check_dominant(rs, lam_a, what="piece")
+    if f.nondominant_pieces:
+        lam = vec_str(pieces[f.nondominant_pieces[0]][1])
+        raise NotDominantPiece(f"piece slope {lam} is outside the closed dominant chamber")
     two_rho = vec_exact(rs.two_rho)
     if not p_plus.contains(two_rho):
         raise TwoRhoOutsideDomain(f"2rho = {tuple(rs.two_rho)} lies outside the domain")

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import dot, nullspace, solve_exact, vec_exact
+from ._numeric import dot, nullspace
 from .errors import DependentActiveRoots, DivergentMinimizer, NoFaceAccepted
 from .expint import get_engine
 from .polytope import Polytope, cone_generators
@@ -81,24 +81,6 @@ class MinimizerReport:
     options: MinimizeOptions
 
 
-def chamber_rays(rs: RootSystem):
-    """Generators of the dominant cone: the rays w_j = sum_k x_k Q alpha_k
-    with <alpha_i, w_j> = delta_ij (t >= 0), and a basis of the central
-    lineality space {<alpha_i, .> = 0} (both signs allowed)."""
-    simple = rs.simple_roots
-    funcs = [rs.functional(a) for a in simple]
-    r = rs.rank
-    gram = [[dot(simple[i], funcs[j]) for j in range(r)] for i in range(r)]
-    rays = []
-    for i in range(r):
-        e = [Fraction(int(j == i)) for j in range(r)]
-        x = solve_exact(gram, e)
-        w = tuple(sum(x[k] * funcs[k][c] for k in range(r)) for c in range(rs.dim))
-        rays.append(w)
-    central = nullspace(simple, rs.dim)
-    return rays, central
-
-
 def coercivity_check(rs: RootSystem, p_plus: Polytope) -> CoercivityReport:
     """Certify max_{y in P+} <d, y - 2rho> > 0 for every chamber d != 0.
 
@@ -106,19 +88,20 @@ def coercivity_check(rs: RootSystem, p_plus: Polytope) -> CoercivityReport:
     all vertices v} is a polyhedral cone, generated in one double-description
     pass; h is coercive iff the cone is {0}. The certificate is the generator
     whose root coordinates q = (<alpha_i, d>)_i, scaled to sum 1, are
-    lexicographically smallest.
+    lexicographically smallest. The ray margins are the same maxima along
+    the chamber's generators: the coweights, then both signs of each
+    central basis vector.
     """
-    rays, central = chamber_rays(rs)
-    two_rho = vec_exact(rs.two_rho)
+    two_rho = rs.two_rho
     diffs = [tuple(v[i] - two_rho[i] for i in range(rs.dim)) for v in p_plus.vertices]
 
     margins = []
-    for d in rays + [s for u in central for s in (u, tuple(-x for x in u))]:
+    for d in rs.coweights + tuple(s for u in rs.central_basis for s in (u, tuple(-x for x in u))):
         sup = max(float(dot(d, diff)) for diff in diffs)
         margins.append((tuple(float(x) for x in d), sup))
 
-    simple = [vec_exact(a) for a in rs.simple_roots]
-    gens, lin = cone_generators(simple + [tuple(-x for x in diff) for diff in diffs])
+    simple = rs.simple_roots
+    gens, lin = cone_generators(list(simple) + [tuple(-x for x in diff) for diff in diffs])
     gens += lin + [tuple(-x for x in u) for u in lin]
 
     def scaled(d):
@@ -229,7 +212,6 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
     two_rho = np.asarray([float(t) for t in rs.two_rho])
     dim = rs.dim
     simple = [np.asarray([float(x) for x in a]) for a in rs.simple_roots]
-    simple_exact = [vec_exact(a) for a in rs.simple_roots]
 
     faces = sorted(
         (tuple(s) for k in range(rs.rank + 1) for s in itertools.combinations(range(rs.rank), k)),
@@ -237,9 +219,8 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
 
     visits: List[FaceVisit] = []
     for S in faces:
-        rows = [simple_exact[i] for i in S]
-        basis = nullspace(rows, dim) if rows else \
-            [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
+        rows = [rs.simple_roots[i] for i in S]
+        basis = nullspace(rows, dim)
         if basis:
             N = np.asarray([[float(x) for x in col] for col in basis]).T
             xi, val, b, gnorm, iters, conv = _face_newton(engine, two_rho, N, opts)
@@ -254,10 +235,7 @@ def minimize_h(rs: RootSystem, p_plus: Polytope,
             float(a @ lam) >= -opts.tol_wall for j, a in enumerate(simple) if j not in S)
         kkt_ok = False
         if conv and feasible:
-            try:
-                mults, res = kkt_multipliers(rs, b, S)
-            except DependentActiveRoots:
-                mults, res = (), math.inf
+            mults, res = kkt_multipliers(rs, b, S)
             scale = 1.0 + float(np.linalg.norm(b - two_rho))
             kkt_ok = res <= opts.tol_kkt * scale and all(m >= -opts.tol_kkt for m in mults)
         visits.append(FaceVisit(face=S, converged=conv, feasible=feasible,

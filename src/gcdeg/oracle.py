@@ -17,7 +17,6 @@ import numpy as np
 from ._poly import Polynomial
 from .errors import BoxTooTight, InconsistentInputs
 from .hfun import h_vector
-from .minimize import chamber_rays
 from .polytope import Polytope, triangulate
 from .rootsys import RootSystem, dh_density
 
@@ -157,7 +156,7 @@ def grid_minimize(rs: RootSystem, p_plus: Polytope,
                   refine: bool = True, check_points: int = 20) -> Dict:
     """Scan h over a box in ray coordinates and return the grid minimizer.
 
-    Coordinates t map to Lambda(t) = sum_i t_i w_i over the chamber rays
+    Coordinates t map to Lambda(t) = sum_i t_i w_i over the coweights
     followed by the central basis. After the coarse scan an optional local
     pass re-grids a two-cell window around the argmin. The minimum and a
     sample of grid values are re-checked against the divided-difference
@@ -165,8 +164,7 @@ def grid_minimize(rs: RootSystem, p_plus: Polytope,
     """
     if steps < 2:
         raise InconsistentInputs("steps must be at least 2")
-    rays, central = chamber_rays(rs)
-    gens = [tuple(float(x) for x in w) for w in rays + central]
+    gens = [tuple(float(x) for x in w) for w in rs.coweights + rs.central_basis]
     if len(box) != len(gens):
         raise InconsistentInputs(
             f"box must have {len(gens)} axes (rays then central basis)")

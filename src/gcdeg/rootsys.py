@@ -19,6 +19,16 @@ central coordinates an identity block.
 Every coordinate is an exact rational: floats in custom simple roots are read
 as their exact binary values (with Q = I), so an irrational frame fails the
 Cartan test with InvalidCartanDatum.
+
+The dual basis is built once, with the roots. With A the simple roots as
+rows, the coweights are the rows of Omega = (A A^T)^-1 A, so <alpha_i,
+omega_j> = delta_ij with omega_j in the root span (Bourbaki, Lie Groups
+ch. VI); `central_basis` spans the rest of a, {<alpha_i, .> = 0}. The closed
+dominant chamber of slopes is the cone over the coweights plus the central
+span, and `in_chamber` is the one test of it: t_i = <alpha_i, Lambda> >= 0,
+exactly on exact input and to 1e-9 max(1, max_j |t_j|) on floats.
+Simple-root coordinates are c = Omega v (`root_coefficients`), and
+`positive_coefficients` keeps the integer ones of each positive root.
 """
 
 import math
@@ -26,9 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ._numeric import dot, mat_rank, solve_exact, vec_exact
+from ._numeric import dot, is_exact_input, mat_rref, nullspace, vec_exact
 from ._poly import Polynomial
-from .errors import InvalidCartanDatum, UnknownCatalogName
+from .errors import InconsistentInputs, InvalidCartanDatum, UnknownCatalogName
 
 Vector = Tuple[Fraction, ...]
 Gram = Optional[Tuple[Vector, ...]]     # None: the identity
@@ -72,6 +82,13 @@ class RootSystem:
     two_rho: Vector
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     gram: Gram = None
+    # Dual basis: <alpha_i, coweights[j]> = delta_ij, coweights in the root
+    # span; central_basis spans {<alpha_i, .> = 0}.
+    coweights: Tuple[Vector, ...] = field(default=(), compare=False, repr=False)
+    central_basis: Tuple[Vector, ...] = field(default=(), compare=False, repr=False)
+    # Integer simple-root coefficients of positive_roots, in the same order.
+    positive_coefficients: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False,
+                                                               repr=False)
     # 2 Q alpha_i / (alpha_i, alpha_i): s_i y = y - <coroot_i, y> alpha_i
     _coroots: Tuple[Vector, ...] = field(default=(), compare=False, repr=False)
     _dh: List = field(default_factory=list, compare=False, repr=False)
@@ -86,28 +103,39 @@ class RootSystem:
         """Killing form (alpha, y)."""
         return dot(self.functional(alpha), y)
 
-    def is_dominant(self, y: Sequence, tol: float = 1e-12) -> bool:
-        return all(float(self.pair(a, y)) >= -tol for a in self.simple_roots)
+    def in_chamber(self, lam: Sequence) -> bool:
+        """Lambda in the closed dominant chamber: t_i = <alpha_i, Lambda> >= 0,
+        exactly when every coordinate is exact input, else to within
+        1e-9 max(1, max_j |t_j|)."""
+        if len(lam) != self.dim:
+            raise InconsistentInputs(
+                f"lambda has {len(lam)} coordinates, root system has dimension {self.dim}")
+        lamq = vec_exact(lam)
+        t = [dot(a, lamq) for a in self.simple_roots]
+        if all(is_exact_input(x) for x in lam):
+            return min(t) >= 0
+        t = [float(x) for x in t]
+        return min(t) >= -1e-9 * max(1.0, max(map(abs, t)))
+
+    def is_dominant(self, y: Sequence) -> bool:
+        """Weight y in the closed dominant chamber: (alpha_i, y) >= 0."""
+        return self.in_chamber(self.functional(y))
 
     def reflect(self, i: int, y: Sequence) -> tuple:
         c = dot(self._coroots[i], y)
         return tuple(x - c * ax for x, ax in zip(y, self.simple_roots[i]))
 
     def root_coefficients(self, v: Sequence):
-        """Write v = sum c_i alpha_i over the simple roots, exactly.
+        """Write v = sum c_i alpha_i over the simple roots, exactly: c = Omega v.
 
         Returns (coeffs, residual_norm): residual is the part of v outside the
         root span (a central vector, where Q is the identity).
         """
-        cols = self.simple_roots
         v = vec_exact(v)
-        gram = [[dot(a, b) for b in cols] for a in cols]
-        sol = solve_exact(gram, [dot(a, v) for a in cols])
-        if sol is None:
-            raise InvalidCartanDatum("degenerate simple-root Gram matrix")
-        recon = [sum(c * a[i] for c, a in zip(sol, cols)) for i in range(self.dim)]
+        coeffs = tuple(dot(w, v) for w in self.coweights)
+        recon = [sum(c * a[i] for c, a in zip(coeffs, self.simple_roots)) for i in range(self.dim)]
         res = math.sqrt(sum(float(v[i] - recon[i]) ** 2 for i in range(self.dim)))
-        return sol, res
+        return coeffs, res
 
 
 def _direct_sum(blocks) -> Tuple[List[Vector], Gram]:
@@ -155,7 +183,8 @@ def _sort_key(root):
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:
-    """Validate the datum, generate positive roots, and precompute 2rho."""
+    """Validate the datum, generate positive roots, and precompute 2rho and
+    the dual basis."""
     if (spec.catalog is None) == (spec.simple_roots is None):
         raise InvalidCartanDatum("specify exactly one of catalog or simple_roots")
     if spec.central_rank < 0:
@@ -178,7 +207,11 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     simple, gram = _direct_sum([(b, g, len(b[0])) for b, g in blocks] + [((), None, c)])
     rank, dim = len(simple), len(simple[0])
 
-    if mat_rank(simple) != rank:
+    # One elimination of [A A^T | A], A the simple roots as rows: A A^T is
+    # invertible iff the roots are independent, and then the right block is
+    # Omega = (A A^T)^-1 A, whose rows are the coweights.
+    rref, pivots = mat_rref([[dot(a, b) for b in simple] + list(a) for a in simple])
+    if pivots[:rank] != list(range(rank)):
         raise InvalidCartanDatum("simple roots are linearly dependent")
 
     # Each simple root's functional Q alpha_i, formed once.
@@ -211,8 +244,8 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     positive = [r for r in all_roots if min(r) >= 0]
     if 2 * len(positive) != len(all_roots):
         raise InvalidCartanDatum("root set is not symmetric; datum invalid")
-    positive = sorted((tuple(sum(k * a[t] for k, a in zip(r, simple)) for t in range(dim))
-                       for r in positive), key=_sort_key)
+    positive = sorted(((tuple(sum(k * a[t] for k, a in zip(r, simple)) for t in range(dim)), r)
+                       for r in positive), key=lambda rc: _sort_key(rc[0]))
 
     return RootSystem(
         name=name,
@@ -220,10 +253,13 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
         rank=rank,
         central_rank=c,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
-        two_rho=tuple(sum(r[t] for r in positive) for t in range(dim)),
+        positive_roots=tuple(r for r, _ in positive),
+        two_rho=tuple(sum(r[t] for r, _ in positive) for t in range(dim)),
         cartan_matrix=tuple(cartan),
         gram=gram,
+        coweights=tuple(tuple(row[rank:]) for row in rref),
+        central_basis=tuple(nullspace(simple, dim)),
+        positive_coefficients=tuple(c for _, c in positive),
         _coroots=tuple(coroots),
     )
 

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._numeric import (INT64_SAFE, dot, int_array, int_matmul, int_points,
-                       is_exact_input, max_abs, scaled_ints, solve_exact, to_exact, vec_exact,
-                       widen)
-from .errors import (ComponentOutsidePolytope, InconsistentInputs, InvalidCartanDatum,
-                     NotDominant, NotDominantPiece)
+                       is_exact_input, max_abs, scaled_ints, to_exact, vec_exact,
+                       vec_str, widen)
+from .errors import (ComponentOutsidePolytope, InconsistentInputs, NotDominant,
+                     NotDominantPiece)
 from .polytope import Polytope, cone_generators, lattice_points
 from .rootsys import RootSystem
 
@@ -41,51 +41,38 @@ class PLConcave:
         return min(c - dot(lam, yq) for c, lam in self.pieces)
 
 
-
-def _outside_chamber(rs: RootSystem, lam, exact: bool) -> bool:
-    """True when lam pairs negatively with a simple root: exactly when lam
-    is exact, within a 1e-9 tolerance for float data."""
-    if exact:
-        return any(dot(alpha, lam) < 0 for alpha in rs.simple_roots)
-    return min(sum(float(a) * float(x) for a, x in zip(alpha, lam))
-               for alpha in rs.simple_roots) < -1e-9
-
-
 def pl_concave(rs: RootSystem, domain: Polytope, pieces: Sequence[Tuple],
                strict: bool = True) -> PLConcave:
     """Validated constructor. Each slope must lie in the closed dominant
-    chamber; with strict=False violations are flagged instead of raised."""
+    chamber (RootSystem.in_chamber, read on the slope as given); with
+    strict=False violations are flagged instead of raised."""
     norm: List[Piece] = []
-    exact_slopes = []
+    bad = []
     rational = True
-    for c, lam in pieces:
-        exact_slopes.append(all(is_exact_input(x) for x in lam))
-        if not (is_exact_input(c) and exact_slopes[-1]):
+    for i, (c, lam) in enumerate(pieces):
+        if not (is_exact_input(c) and all(is_exact_input(x) for x in lam)):
             rational = False
         norm.append((to_exact(c), vec_exact(lam)))
         if len(norm[-1][1]) != domain.dim:
             raise InconsistentInputs("piece slope dimension mismatch")
+        if not rs.in_chamber(lam):
+            bad.append(i)
     if not norm:
         raise InconsistentInputs("at least one piece required")
-    bad = tuple(i for i, (_, lam) in enumerate(norm)
-                if _outside_chamber(rs, lam, exact_slopes[i]))
     if bad and strict:
-        raise NotDominantPiece(f"piece(s) {bad} have slopes outside the closed chamber")
+        raise NotDominantPiece(f"piece(s) {tuple(bad)} have slopes outside the closed chamber")
     return PLConcave(rs=rs, domain=domain, pieces=tuple(norm),
-                     rational=rational, nondominant_pieces=bad)
+                     rational=rational, nondominant_pieces=tuple(bad))
 
 
 def from_vector(rs: RootSystem, p_plus: Polytope, lam: Sequence,
                 c0=0) -> PLConcave:
     """The one-piece (linear) datum f(y) = c0 - <lam, y> for dominant lam."""
-    lamq = vec_exact(lam)
-    exact_slope = all(is_exact_input(x) for x in lam)
-    if _outside_chamber(rs, lamq, exact_slope):
-        raise NotDominant(f"{tuple(lam)} is outside the closed dominant chamber")
-    exact = is_exact_input(c0) and exact_slope
-    f = PLConcave(rs=rs, domain=p_plus, pieces=((to_exact(c0), lamq),),
-                  rational=exact, nondominant_pieces=())
-    return f
+    if not rs.in_chamber(lam):
+        raise NotDominant(f"{vec_str(lam)} is outside the closed dominant chamber")
+    exact = is_exact_input(c0) and all(is_exact_input(x) for x in lam)
+    return PLConcave(rs=rs, domain=p_plus, pieces=((to_exact(c0), vec_exact(lam)),),
+                     rational=exact, nondominant_pieces=())
 
 
 def piece_minima(pieces: Sequence[Piece], P: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
@@ -140,17 +127,12 @@ def _gamma_rank(values: Sequence[Fraction], rational: bool) -> Tuple[int, str]:
 def _root_coords(rs: RootSystem, P: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Simple-root coordinates of the points P (integer rows, one positive
     scale) and a class label per point: equal labels mean equal off-span
-    residuals. One exact Gram solve serves all points. The dot-product Gram
-    matrix is used, not the Killing form: any left inverse M of the roots
-    gives the same coordinates on the root span and the same residual
-    classes (p - q in the span), which is all the dominance test reads."""
-    roots = rs.simple_roots
-    # c = M p with M = (A A^T)^-1 A; residual (I - A^T M) p
-    gram = [[dot(a, b) for b in roots] for a in roots]
-    cols = [solve_exact(gram, [a[i] for a in roots]) for i in range(rs.dim)]
-    if None in cols:
-        raise InvalidCartanDatum("degenerate simple-root Gram matrix")
-    m = [[col[j] for col in cols] for j in range(rs.rank)]
+    residuals. The coordinates are c = Omega p with Omega the rows of
+    rs.coweights, a left inverse of the roots; the residual is
+    (I - A^T Omega) p, with A the simple roots as rows. Points p, q are
+    comparable when p - q lies in the root span, i.e. their residuals are
+    equal, and that and the coordinates are all the dominance test reads."""
+    roots, m = rs.simple_roots, rs.coweights
     r = [[int(i == t) - sum(a[i] * mj[t] for a, mj in zip(roots, m)) for t in range(rs.dim)]
          for i in range(rs.dim)]
     coords = int_matmul(P, scaled_ints(m)[0])

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from gcdeg._numeric import (dot, int_det, mat_rank, nullspace, scaled_ints, solve_exact,
                             to_exact, vec_exact)
-from gcdeg.minimize import chamber_rays
 
 
 def affine_rank(points):
@@ -214,7 +213,7 @@ def coercivity_certificate(rs, vertices):
     """Escape direction of h, or None when h is coercive: the smallest
     basic solution q >= 0, sum q = 1, of <sum_g q_g g, v - 2rho> <= 0 over
     chamber generators g, trying the central sign patterns in turn."""
-    rays, central = chamber_rays(rs)
+    rays, central = rs.coweights, rs.central_basis
     two_rho = vec_exact(rs.two_rho)
     diffs = [tuple(v[i] - two_rho[i] for i in range(rs.dim)) for v in vertices]
     nvar = len(rays) + len(central)

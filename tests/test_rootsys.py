@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdeg import (InvalidCartanDatum, RootSystemSpec, UnknownCatalogName,
-                   build_root_system, chamber_rays, dh_density, dominant_representative)
+                   build_root_system, dh_density, dominant_representative)
 from gcdeg._numeric import dot
 
 rationals = st.fractions(min_value=-8, max_value=8,
@@ -142,7 +142,7 @@ CATALOG_CASES = [("A1", 0), ("A1xA1", 0), ("A2", 0), ("B2", 0), ("G2", 0),
 @given(v=st.tuples(rationals, rationals, rationals))
 def test_reflections_permute_roots(name, central, v):
     """Simple reflections permute the roots and fix the density exactly;
-    the chamber rays are dual to the simple roots."""
+    the coweights are dual to the simple roots."""
     rs = build_root_system(RootSystemSpec(catalog=name, central_rank=central))
     y = v[:rs.dim]
     roots = set(rs.positive_roots) | {tuple(-x for x in a)
@@ -152,8 +152,7 @@ def test_reflections_permute_roots(name, central, v):
         for a in roots:
             assert tuple(rs.reflect(i, a)) in roots
         assert pi.eval_exact(rs.reflect(i, y)) == pi.eval_exact(y)
-    rays, _ = chamber_rays(rs)
-    assert [[dot(a, w) for w in rays] for a in rs.simple_roots] == \
+    assert [[dot(a, w) for w in rs.coweights] for a in rs.simple_roots] == \
         [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
 
 
